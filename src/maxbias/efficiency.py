@@ -32,10 +32,20 @@ import numpy as np
 from scipy import special
 
 from ._io import write_rows
-from .curves import CM_KIND, MM_KIND, S_KIND, EstimatorSpec, cm_estimate, mm_estimate, s_estimate
+from .curves import (
+    CM_KIND,
+    MM_KIND,
+    S_KIND,
+    EstimatorSpec,
+    _gf,
+    cm_estimate,
+    mm_estimate,
+    s_estimate,
+)
 from .errors import (
     DegenerateEfficiencyError,
     DomainError,
+    NumericalError,
     TargetRangeError,
     UnsupportedOperationError,
 )
@@ -261,8 +271,12 @@ def cm_model_scale(gf: GFunction, b: float, c: float) -> tuple[float, bool]:
         return boundary, True
     target = 1.0 / c
     hi = sigma_m
-    while gf.phi_eval(hi) > target:
+    for _ in range(200):
         hi *= 2.0
+        if gf.phi_eval(hi) <= target:
+            break
+    else:
+        raise NumericalError("could not bracket the upper stationary scale")
     upper = find_root(lambda s: gf.phi_eval(s) - target, sigma_m, hi)
     if upper <= boundary:
         return boundary, True
@@ -285,13 +299,15 @@ def _norm_law() -> ErrorLaw:
     return _NORM_LAW
 
 
-def _residual_scale(spec: EstimatorSpec, law: ErrorLaw) -> tuple[float, bool | None]:
+def _residual_scale(
+    spec: EstimatorSpec, law: ErrorLaw, gfs: dict
+) -> tuple[float, bool | None]:
+    # gfs caches one GFunction per loss at this law (see curves._gf).
     if spec.kind == S_KIND:
-        return s_scale(GFunction(spec.rho, law.model), spec.b), None
+        return s_scale(_gf(spec.rho, law.model, gfs), spec.b), None
     if spec.kind == MM_KIND:
-        return s_scale(GFunction(spec.rho1, law.model), spec.b), None
-    scale, binding = cm_model_scale(GFunction(spec.rho, law.model), spec.b, spec.c)
-    return scale, binding
+        return s_scale(_gf(spec.rho1, law.model, gfs), spec.b), None
+    return cm_model_scale(_gf(spec.rho, law.model, gfs), spec.b, spec.c)
 
 
 def _psi_rho(spec: EstimatorSpec) -> RhoSpec:
@@ -306,7 +322,7 @@ def _psi_rho(spec: EstimatorSpec) -> RhoSpec:
 def gaussian_efficiency(spec: EstimatorSpec) -> float:
     """1 / avar at the standard normal, using the functional's own residual scale."""
     law = _norm_law()
-    scale, _ = _residual_scale(spec, law)
+    scale, _ = _residual_scale(spec, law, {})
     return 1.0 / m_avar(_psi_rho(spec), scale, law)
 
 
@@ -401,12 +417,17 @@ class EfficiencyCell:
 def avar_table(
     specs: Sequence[tuple[str, EstimatorSpec]], laws: Sequence[str] = LAW_NAMES
 ) -> list[EfficiencyCell]:
-    """Slope variances of labeled estimates across laws; degenerate cells are flagged."""
+    """Slope variances of labeled estimates across laws; degenerate cells are flagged.
+
+    Estimates sharing a loss at a law share its GFunction, so each (loss,
+    law) pair builds its bracketing table and phi scan once.
+    """
     cells = []
     for law_name in laws:
         law = error_law(law_name)
+        gfs: dict = {}
         for label, spec in specs:
-            scale, binding = _residual_scale(spec, law)
+            scale, binding = _residual_scale(spec, law, gfs)
             try:
                 value = m_avar(_psi_rho(spec), scale, law)
                 degenerate = False

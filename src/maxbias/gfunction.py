@@ -19,8 +19,18 @@ and the tail term is evaluated through the survival function, never by
 quadrature.  The finite part is integrated with a fixed composite
 Gauss-Legendre rule on geometric panels of (0, 1] (in the variable
 z / (k s)), which resolves the model scale and the saturation scale even
-when they differ by several orders of magnitude.  For the step loss the
-finite part vanishes and the closed forms
+when they differ by several orders of magnitude.  The rho and weight
+factors of the rule do not depend on s, so g and phi at one scale are a
+288-node density evaluation contracted with precomputed weights.  Grid
+scans (the bracketing table, the unimodality and convexity scans, phi
+tables) evaluate the (scales x nodes) density matrix in blocks of
+_SCAN_ROWS rows: a block stays cache-resident, and peak memory does not
+grow with the grid.  Scalar calls and scans share one formula.  The
+2048-point table that brackets g_inverse is filled coarse to fine: every
+32nd point when it is built, then the 31 points of a coarse cell the first
+time a query lands in it, so a GFunction inverted at one level evaluates
+96 of the 2048 points.  For the step loss the finite part vanishes and
+the closed forms
 
     g(s) = 2 (1 - F(k s)),    phi(s) = 2 k s f(k s)
 
@@ -59,6 +69,11 @@ GINV_FLOOR = 1e-12
 
 _TABLE_SIZE = 2048
 _TABLE_RANGE = (1e-4, 1e4)
+# Coarse points of the bracketing table: every _TABLE_STRIDE-th and the last.
+# g decreases, so searching them and then one cell finds the bracket that a
+# search of the whole table would.
+_TABLE_STRIDE = 32
+_COARSE = np.append(np.arange(0, _TABLE_SIZE - 1, _TABLE_STRIDE), _TABLE_SIZE - 1)
 
 
 def _unit_rule(nodes_per_panel: int = 32) -> tuple[np.ndarray, np.ndarray]:
@@ -76,6 +91,19 @@ def _unit_rule(nodes_per_panel: int = 32) -> tuple[np.ndarray, np.ndarray]:
 
 
 _UX, _UW = _unit_rule()
+
+# Rows of the (rows x 288) node matrix evaluated per block in a grid scan.
+# A 48-row block (110 KB per temporary) stays cache-resident and below
+# glibc's 128 KB mmap threshold.  Measured on a 2-core Xeon (table plus phi
+# scan): 32-56 rows ran fastest; from 64 rows each temporary is mapped and
+# unmapped per block, which added 7-16 ms of system time per GFunction, and
+# whole-grid blocks also raised the peak memory.
+_SCAN_ROWS = 48
+
+
+def _column(a):
+    """a as a column for broadcasting against the unit nodes; floats pass through."""
+    return a[:, None] if isinstance(a, np.ndarray) else a
 
 
 @dataclass(frozen=True)
@@ -135,7 +163,10 @@ def second_differences_nonnegative(
 ) -> bool:
     """Discrete convexity check of fn on a uniform grid over [lo, hi]."""
     grid = np.linspace(lo, hi, n)
-    vals = np.array([fn(s) for s in grid])
+    return _convex_values(np.array([fn(s) for s in grid]), tol)
+
+
+def _convex_values(vals: np.ndarray, tol: float = 1e-8) -> bool:
     second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
     return bool(np.min(second) >= -tol)
 
@@ -154,8 +185,9 @@ def halfline_expectation(
 class GFunction:
     """g(s) = E rho(Z/s) with inverse, phi(s) = -s g'(s) and its peak.
 
-    Immutable after construction; the bracketing table and the peak are
-    computed lazily on first use and then shared by all readers.
+    Immutable after construction apart from caches: the bracketing table
+    (filled cell by cell as queries need it) and the peak are computed
+    lazily on first use and then shared by all readers.
     """
 
     def __init__(self, rho: RhoSpec, model: Model):
@@ -176,17 +208,20 @@ class GFunction:
         if not s > 0:
             raise DomainError(f"scale must be positive, got {s}")
         a = self.rho.k * s
-        edge = self.model.support
-        tail = float(self.model.sf(np.asarray(a, dtype=float)))
-        if a <= edge:
-            finite = a * float(np.dot(self._wrho, self.model.pdf(a * _UX)))
+        return float(self._g_at(a, a <= self.model.support))
+
+    def _g_at(self, a, inside: bool):
+        """g at a = k s: a float, or a 1-D array wholly on one side of the edge."""
+        if inside:
+            finite = a * np.dot(self.model.pdf(_column(a) * _UX), self._wrho)
         else:
             # Support ends inside the saturation zone: integrate up to the
             # edge only; the tail term is already zero there.
+            edge = self.model.support
             z = edge * _UX
-            vals = rho_eval(self.rho, self.rho.k * z / a) * self.model.pdf(z)
-            finite = edge * float(np.dot(_UW, vals))
-        return 2.0 * finite + 2.0 * tail
+            vals = rho_eval(self.rho, self.rho.k * z / _column(a)) * self.model.pdf(z)
+            finite = edge * np.dot(vals, _UW)
+        return 2.0 * finite + 2.0 * self.model.sf(a)
 
     def g_inverse(self, v: float, tol: numerics.Tolerance | None = None) -> float:
         """The scale s with g(s) = v, for v in (0, 1); unique by monotonicity."""
@@ -206,21 +241,29 @@ class GFunction:
         return numerics.find_root(lambda s: self.g_eval(s) - v, lo, hi, tol)
 
     def _ensure_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(s grid, g on it); g is NaN at fine points not yet evaluated."""
         if self._table is None:
             s_grid = np.logspace(
                 math.log10(_TABLE_RANGE[0]), math.log10(_TABLE_RANGE[1]), _TABLE_SIZE
             )
-            g_vals = np.array([self.g_eval(s) for s in s_grid])
+            g_vals = np.full(_TABLE_SIZE, np.nan)
+            g_vals[_COARSE] = self._scan(self._g_at, s_grid[_COARSE])
             self._table = (s_grid, g_vals)
         return self._table
 
     def _bracket(self, v: float) -> tuple[float, float]:
         s_grid, g_vals = self._ensure_table()
         # g decreasing: reverse for searchsorted.
-        idx = np.searchsorted(g_vals[::-1], v)
-        n = len(s_grid)
+        idx = np.searchsorted(g_vals[_COARSE][::-1], v)
+        n = len(_COARSE)
         if 0 < idx < n:
-            j = n - idx  # first grid point with g < v sits at j, g >= v at j-1
+            # v lies in the coarse cell [lo, hi]: g >= v at lo, g < v at hi.
+            lo, hi = _COARSE[n - idx - 1], _COARSE[n - idx]
+            if np.isnan(g_vals[lo + 1]):  # cell not evaluated yet
+                g_vals[lo + 1 : hi] = self._scan(self._g_at, s_grid[lo + 1 : hi])
+            cell = g_vals[lo : hi + 1]
+            # first grid point with g < v sits at j, g >= v at j-1
+            j = lo + len(cell) - np.searchsorted(cell[::-1], v)
             return s_grid[j - 1], s_grid[j]
         if idx == 0:
             # v below the smallest tabulated g: expand upward.
@@ -247,15 +290,33 @@ class GFunction:
         if not s > 0:
             raise DomainError(f"scale must be positive, got {s}")
         a = self.rho.k * s
+        return float(self._phi_at(a, a <= self.model.support))
+
+    def _phi_at(self, a, inside: bool):
+        """phi at a = k s: a float, or a 1-D array wholly on one side of the edge."""
         if self.rho.family == ALPHA_QUANTILE:
-            return float(2.0 * a * self.model.pdf(np.asarray(a, dtype=float)))
+            return 2.0 * a * self.model.pdf(a)
+        if inside:
+            return 2.0 * a * np.dot(self.model.pdf(_column(a) * _UX), self._wphi)
         edge = self.model.support
-        if a <= edge:
-            return 2.0 * a * float(np.dot(self._wphi, self.model.pdf(a * _UX)))
         z = edge * _UX
-        v = z / a
+        v = z / _column(a)
         vals = 6.0 * v**2 * (1.0 - v**2) ** 2 * self.model.pdf(z)
-        return 2.0 * edge * float(np.dot(_UW, vals))
+        return 2.0 * edge * np.dot(vals, _UW)
+
+    def _scan(self, kernel, s_grid: np.ndarray) -> np.ndarray:
+        """Apply _g_at or _phi_at over a grid of scales, _SCAN_ROWS rows at a time."""
+        if np.any(s_grid <= 0):
+            raise DomainError("scan grid must be strictly positive")
+        a = self.rho.k * s_grid
+        out = np.empty_like(a)
+        inside = a <= self.model.support
+        for side in (True, False):
+            idx = np.flatnonzero(inside == side)
+            for start in range(0, idx.size, _SCAN_ROWS):
+                rows = idx[start : start + _SCAN_ROWS]
+                out[rows] = kernel(a[rows], side)
+        return out
 
     def peak(self) -> tuple[float, float]:
         """(sigma_M, K): the argmax of phi and its value; requires a unimodal phi."""
@@ -286,7 +347,7 @@ class GFunction:
             return self._unimodal
         k = self.rho.k
         s_grid = np.logspace(math.log10(1e-3 * k), math.log10(1e3 * k), n)
-        vals = np.array([self.phi_eval(s) for s in s_grid])
+        vals = self._scan(self._phi_at, s_grid)
         diffs = np.diff(vals)
         i_max = int(np.argmax(vals))
         slack = 1e-12 * max(float(np.max(vals)), 1e-300)
@@ -310,14 +371,12 @@ class GFunction:
             sigma_m, _ = self.peak()
             lo = lo if lo is not None else sigma_m / 50.0
             hi = hi if hi is not None else 4.0 * sigma_m
-        return second_differences_nonnegative(self.g_eval, lo, hi, n=n)
+        return _convex_values(self._scan(self._g_at, np.linspace(lo, hi, n)))
 
     def phi_table(self, s_grid) -> np.ndarray:
         """(s, phi(s)) rows over an explicit grid."""
         s_grid = np.asarray(s_grid, dtype=float)
-        if np.any(s_grid <= 0):
-            raise DomainError("phi grid must be strictly positive")
-        return np.column_stack((s_grid, [self.phi_eval(s) for s in s_grid]))
+        return np.column_stack((s_grid, self._scan(self._phi_at, s_grid)))
 
 
 def write_phi_csv(gf: GFunction, s_grid, out) -> None:

@@ -87,7 +87,7 @@ def find_root(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo:.6g}, f(hi)={fhi:.6g}"
         )
     root, res = _optimize.brentq(
-        f,
+        _known_ends(f, {lo: flo, hi: fhi}),
         lo,
         hi,
         xtol=tol.abs_tol,
@@ -98,6 +98,21 @@ def find_root(
     if not res.converged:
         raise NumericalError(f"root find on [{lo}, {hi}] did not converge: {res.flag}")
     return float(root)
+
+
+def _known_ends(f: Callable[[float], float], known: dict) -> Callable[[float], float]:
+    """f, answering each point of ``known`` once from its stored value.
+
+    brentq evaluates both bracket ends first; find_root has already paid for
+    them in its sign check.
+    """
+
+    def wrapped(x: float) -> float:
+        if x in known:
+            return known.pop(x)
+        return f(x)
+
+    return wrapped
 
 
 def maximize_unimodal(

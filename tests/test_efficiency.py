@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from maxbias.curves import cm_estimate, mm_estimate, s_estimate
+from maxbias import curves
 from maxbias.efficiency import (
     IQR_TARGET,
     LAW_NAMES,
+    avar_table,
     cm_model_scale,
     error_law,
     gaussian_efficiency,
     m_avar,
+    reference_estimators,
     s_scale,
     slope_avar,
     tune,
@@ -19,6 +22,7 @@ from maxbias.efficiency import (
 )
 from maxbias.errors import (
     DomainError,
+    NumericalError,
     TargetRangeError,
     UnsupportedOperationError,
 )
@@ -146,6 +150,28 @@ class TestScales:
         scale, binding = cm_model_scale(gf, 0.5, 0.9 / cap)
         assert binding
 
+    def test_cm_scale_unbracketable_upper_scale_raises(self):
+        class FlatPhi:
+            """phi stays at its peak height: no upper stationary scale exists."""
+
+            calls = 0
+
+            def g_inverse(self, b):
+                return 1.0
+
+            def peak(self):
+                return 1.0, 10.0
+
+            def phi_eval(self, s):
+                FlatPhi.calls += 1
+                if FlatPhi.calls > 10_000:
+                    raise AssertionError("upper-scale search is unbounded")
+                return 10.0
+
+        with pytest.raises(NumericalError):
+            cm_model_scale(FlatPhi(), 0.5, 1.0)
+        assert FlatPhi.calls <= 200
+
 
 class TestGaussianEfficiency:
     def test_mm_95(self, k_half):
@@ -260,3 +286,33 @@ class TestAvarTable:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "estimator,law,avar,binding"
         assert len(lines) == 36
+
+    def test_shared_gfunctions_match_fresh_ones_per_cell(self, monkeypatch):
+        built = []
+
+        class CountingGFunction(GFunction):
+            def __init__(self, rho, model):
+                built.append((rho, model.name))
+                super().__init__(rho, model)
+
+        specs = reference_estimators()
+        monkeypatch.setattr(curves, "GFunction", CountingGFunction)
+        shared = avar_table(specs, LAW_NAMES)
+        monkeypatch.undo()
+        # 5 estimates x 7 laws, but only 3 distinct losses per law.
+        assert len(built) == len(set(built)) == 21
+
+        fresh = []
+        for law_name in LAW_NAMES:
+            law = error_law(law_name)
+            for label, spec in specs:
+                if spec.kind == "cm":
+                    scale, binding = cm_model_scale(
+                        GFunction(spec.rho, law.model), spec.b, spec.c
+                    )
+                else:
+                    rho = spec.rho1 if spec.kind == "mm" else spec.rho
+                    scale, binding = s_scale(GFunction(rho, law.model), spec.b), None
+                psi_rho = spec.rho2 if spec.kind == "mm" else spec.rho
+                fresh.append((label, law_name, scale, m_avar(psi_rho, scale, law), binding))
+        assert [(c.estimator, c.law, c.scale, c.avar, c.binding) for c in shared] == fresh

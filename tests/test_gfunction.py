@@ -6,13 +6,17 @@ import pytest
 from scipy import integrate as spi
 from scipy import special
 
+from maxbias.efficiency import LAW_NAMES, error_law
 from maxbias.errors import DomainError
 from maxbias.gfunction import (
+    _COARSE,
+    _TABLE_STRIDE,
     GFunction,
     second_differences_nonnegative,
     write_phi_csv,
 )
 from maxbias.rho import alpha_quantile, biweight, rho_eval
+from maxbias import cauchy_model, gaussian_model
 
 
 def quad_g_oracle(gf, s):
@@ -198,3 +202,59 @@ class TestPhiExport:
     def test_rejects_nonpositive_grid(self, gf_step_gauss):
         with pytest.raises(DomainError):
             gf_step_gauss.phi_table([0.0, 1.0])
+
+
+ALL_MODELS = pytest.mark.parametrize(
+    "model",
+    [gaussian_model(), cauchy_model()] + [error_law(name).model for name in LAW_NAMES],
+    ids=lambda m: m.name,
+)
+ALL_RHOS = pytest.mark.parametrize(
+    "rho",
+    [biweight(1.0), biweight(4.685), alpha_quantile(1.0)],
+    ids=lambda r: f"{r.family}-{r.k:g}",
+)
+
+
+class TestBlockedScan:
+    """Grid scans evaluate the node matrix in row blocks; scalar calls one row."""
+
+    GRID = np.logspace(-4.0, 4.0, 2048)
+
+    @ALL_MODELS
+    @ALL_RHOS
+    def test_scan_matches_scalar_calls(self, model, rho):
+        gf = GFunction(rho, model)
+        for kernel, scalar in ((gf._g_at, gf.g_eval), (gf._phi_at, gf.phi_eval)):
+            blocked = gf._scan(kernel, self.GRID)
+            pointwise = np.array([scalar(s) for s in self.GRID])
+            assert np.max(np.abs(blocked - pointwise)) <= 1e-15
+
+    def test_scan_rejects_nonpositive_scales(self, gf_biw1_gauss):
+        with pytest.raises(DomainError):
+            gf_biw1_gauss.check_g_convex(lo=0.0, hi=1.0)
+
+
+class TestBracketTable:
+    """The bracketing table is filled coarse to fine, one cell per query region."""
+
+    @ALL_MODELS
+    @ALL_RHOS
+    def test_bracket_matches_full_table(self, model, rho):
+        gf = GFunction(rho, model)
+        s_grid = np.logspace(-4.0, 4.0, 2048)
+        g_vals = gf._scan(gf._g_at, s_grid)
+        # The midpoint of every gap between adjacent table values that is wider
+        # than rounding: cells are scanned in blocks of their own, so a table
+        # value can differ from the full scan's in the last bit.
+        wide = g_vals[:-1] - g_vals[1:] > 1e-13
+        for v in 0.5 * (g_vals[:-1] + g_vals[1:])[wide]:
+            idx = np.searchsorted(g_vals[::-1], v)
+            j = len(s_grid) - idx
+            assert gf._bracket(v) == (s_grid[j - 1], s_grid[j])
+
+    def test_one_inversion_fills_one_cell(self, gf_biw1_gauss):
+        gf = GFunction(gf_biw1_gauss.rho, gf_biw1_gauss.model)
+        gf.g_inverse(0.5)
+        filled = np.count_nonzero(~np.isnan(gf._table[1]))
+        assert filled == len(_COARSE) + _TABLE_STRIDE - 1

@@ -75,6 +75,21 @@ class TestFindRoot:
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
+    def test_bracket_ends_evaluated_once(self):
+        # The sign check's f(lo) and f(hi) are handed to Brent's method, so no
+        # point is evaluated twice and the root is unchanged.
+        xs = []
+
+        def f(x):
+            xs.append(x)
+            return x * x - 2.0
+
+        root = find_root(f, 1.0, 2.0)
+        assert xs[:2] == [1.0, 2.0]
+        assert len(xs) == len(set(xs))
+        assert root == find_root(lambda x: x * x - 2.0, 1.0, 2.0)
+        assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
+
 
 class TestMaximizeUnimodal:
     def test_parabola(self):
