@@ -34,9 +34,7 @@ from .dominance import (
 )
 from .efficiency import (
     LAW_NAMES,
-    ErrorLaw,
     avar_table,
-    cm_model_scale,
     error_law,
     gaussian_efficiency,
     m_avar,
@@ -56,13 +54,17 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .gfunction import (
+    CAUCHY,
+    GAUSSIAN,
+    LAWS,
     GFunction,
+    Law,
     Model,
     cauchy_model,
     gaussian_model,
     write_phi_csv,
 )
-from .numerics import Tolerance, find_root, integrate, maximize_unimodal
+from .numerics import Tolerance, find_root, maximize_unimodal
 from .rho import (
     ALPHA_QUANTILE,
     BIWEIGHT,

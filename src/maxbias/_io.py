@@ -6,7 +6,7 @@ import math
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-__all__ = ["fmt", "write_rows"]
+__all__ = ["fmt", "write_rows", "write_text"]
 
 
 def fmt(value) -> str:
@@ -29,7 +29,11 @@ def write_rows(out, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a comma-separated table to a path or open text stream."""
     lines = [",".join(header)]
     lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    write_text(out, "\n".join(lines) + "\n")
+
+
+def write_text(out, text: str) -> None:
+    """Write text to a path or open text stream."""
     if isinstance(out, (str, Path)):
         Path(out).write_text(text)
     else:

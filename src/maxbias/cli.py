@@ -83,21 +83,6 @@ def _model_from(args):
     return cauchy_model() if args.model == "cauchy" else gaussian_model()
 
 
-def _open_out(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
-def _emit(path, writer) -> None:
-    stream, close = _open_out(path)
-    try:
-        writer(stream)
-    finally:
-        if close:
-            stream.close()
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="maxbias", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -166,7 +151,7 @@ def _run_curve(args) -> int:
         )
         return EXIT_BREAKDOWN
     curve = bias_curve(spec, _model_from(args), grid)
-    _emit(args.out, lambda out: write_curve_csv(curve, out))
+    write_curve_csv(curve, args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -175,7 +160,7 @@ def _run_phi(args) -> int:
         raise _CliError("phi grid needs 0 < smin < smax and n >= 2")
     gf = GFunction(_rho_from(args), _model_from(args))
     grid = np.logspace(np.log10(args.smin), np.log10(args.smax), args.n)
-    _emit(args.out, lambda out: write_phi_csv(gf, grid, out))
+    write_phi_csv(gf, grid, args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -194,7 +179,7 @@ def _run_tune(args) -> int:
 def _run_dominance(args) -> int:
     gf = GFunction(_rho_from(args), gaussian_model())
     report = dominance_report(gf, args.b)
-    _emit(args.out, lambda out: write_report(report, out))
+    write_report(report, args.out or sys.stdout)
     if args.profile_out:
         write_c_profile_csv(report, args.profile_out)
     return EXIT_OK
@@ -202,7 +187,7 @@ def _run_dominance(args) -> int:
 
 def _run_table(args) -> int:
     cells = avar_table(reference_estimators(), LAW_NAMES)
-    _emit(args.out, lambda out: write_avar_csv(cells, out))
+    write_avar_csv(cells, args.out or sys.stdout)
     return EXIT_OK
 
 

@@ -7,10 +7,11 @@ eps-neighborhood pins
     sigma_{b,eps} = g^{-1}((b - eps) / (1 - eps))   (largest attainable scale)
     gamma_{b,eps} = g^{-1}(b / (1 - eps))           (smallest attainable scale)
 
-and the maximum bias of the S-estimate is a fixed transform of their ratio:
-sqrt((sigma/gamma)^2 - 1) under the Gaussian model, sigma/gamma - 1 under the
-Cauchy model.  The CM-estimate adds the gap between two half-line infima of
-the penalized objective
+and the maximum bias of the S-estimate is a fixed transform of their ratio,
+set by the model's bias geometry: sqrt((sigma/gamma)^2 - 1) for GAUSSIAN,
+sigma/gamma - 1 for CAUCHY; a model whose law has no geometry is rejected
+with DomainError.  The CM-estimate adds the gap between two half-line infima
+of the penalized objective
 
     A_{c,eps}(s) = c (1 - eps) g(s) + log s,
 
@@ -30,7 +31,7 @@ import numpy as np
 from . import numerics
 from ._io import write_rows
 from .errors import BracketError, DomainError, NumericalError
-from .gfunction import GFunction, Model
+from .gfunction import GAUSSIAN, GFunction, Model
 from .rho import RhoSpec, rho_eval
 
 __all__ = [
@@ -154,10 +155,10 @@ class CriticalPair:
     sigma_u: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class BiasCurve:
     estimator: EstimatorSpec
-    model_name: str
+    model: Model
     points: list[BiasPoint]
     monotone_violations: list[int] = field(default_factory=list)
 
@@ -178,7 +179,10 @@ def scale_bounds(gf: GFunction, b: float, eps: float) -> tuple[float, float]:
 
 
 def _is_gaussian(model: Model) -> bool:
-    return model.name == "gaussian"
+    """Whether the bias geometry is GAUSSIAN (else CAUCHY); raises without one."""
+    if model.geometry is None:
+        raise DomainError(f"no bias geometry is defined for the {model.law} law")
+    return model.geometry == GAUSSIAN
 
 
 def _ratio_to_bias(ratio: float, gaussian: bool) -> float:
@@ -189,13 +193,14 @@ def _ratio_to_bias(ratio: float, gaussian: bool) -> float:
 
 def s_maxbias(gf: GFunction, b: float, eps: float) -> BiasPoint:
     """Maximum bias of the S-estimate at contamination eps (exact point)."""
+    gaussian = _is_gaussian(gf.model)
     bp = min(b, 1.0 - b)
     if eps == 0.0:
         return BiasPoint(eps, 0.0, 0.0, exact=True)
     if eps >= bp:
         return BiasPoint(eps, math.inf, math.inf, exact=True, flag="beyond-breakdown")
     sigma, gamma = scale_bounds(gf, b, eps)
-    value = _ratio_to_bias(sigma / gamma, _is_gaussian(gf.model))
+    value = _ratio_to_bias(sigma / gamma, gaussian)
     return BiasPoint(eps, value, value, exact=True)
 
 
@@ -204,37 +209,36 @@ def scale_objective(gf: GFunction, c: float, eps: float, s: float) -> float:
     return c * (1.0 - eps) * gf.g_eval(s) + math.log(s)
 
 
-def critical_pair(gf: GFunction, c: float, eps: float) -> CriticalPair | None:
-    """Both stationary scales (phi(s) = 1/[(1-eps) c]), or None in the monotone case."""
+def _phi_level(gf: GFunction, c: float, eps: float) -> tuple[float, float] | None:
+    """(sigma_M, 1/[(1-eps) c]), or None when phi never reaches that level."""
     if c <= 0:
         raise DomainError(f"tuning constant must be positive, got {c}")
     sigma_m, cap = gf.peak()
-    level = c * (1.0 - eps) * cap
-    if level <= 1.0 + _MONOTONE_SLACK:
+    if c * (1.0 - eps) * cap <= 1.0 + _MONOTONE_SLACK:
         return None
-    target = 1.0 / ((1.0 - eps) * c)
+    return sigma_m, 1.0 / ((1.0 - eps) * c)
 
-    def fn(s: float) -> float:
-        return gf.phi_eval(s) - target
 
-    lo = sigma_m
+def _stationary_scale(gf: GFunction, sigma_m: float, target: float, factor: float) -> float:
+    """The scale where phi falls to target, searched from sigma_M by factor 0.5 or 2."""
+    edge = sigma_m
     for _ in range(200):
-        lo *= 0.5
-        if gf.phi_eval(lo) < target:
-            break
-    else:
-        raise NumericalError("could not bracket the lower stationary scale")
-    sigma_l = numerics.find_root(fn, lo, sigma_m)
+        edge *= factor
+        if gf.phi_eval(edge) < target:
+            lo, hi = sorted((edge, sigma_m))
+            return numerics.find_root(lambda s: gf.phi_eval(s) - target, lo, hi)
+    side = "lower" if factor < 1.0 else "upper"
+    raise NumericalError(f"could not bracket the {side} stationary scale")
 
-    hi = sigma_m
-    for _ in range(200):
-        hi *= 2.0
-        if gf.phi_eval(hi) < target:
-            break
-    else:
-        raise NumericalError("could not bracket the upper stationary scale")
-    sigma_u = numerics.find_root(fn, sigma_m, hi)
-    return CriticalPair(sigma_l=sigma_l, sigma_u=sigma_u)
+
+def critical_pair(gf: GFunction, c: float, eps: float) -> CriticalPair | None:
+    """Both stationary scales (phi(s) = 1/[(1-eps) c]), or None in the monotone case."""
+    level = _phi_level(gf, c, eps)
+    if level is None:
+        return None
+    return CriticalPair(
+        sigma_l=_stationary_scale(gf, *level, 0.5), sigma_u=_stationary_scale(gf, *level, 2.0)
+    )
 
 
 def objective_tail_inf(
@@ -244,26 +248,26 @@ def objective_tail_inf(
 
     The objective rises, dips between its two stationary scales, then rises
     again, so the infimum sits either at ``lower`` or at the upper stationary
-    scale; in the monotone regime it is always at ``lower``.
+    scale; in the monotone regime it is always at ``lower``.  Only the upper
+    scale is solved: between the two the objective decreases, so a start
+    there already loses the comparison below.
     """
     if not lower > 0:
         raise DomainError(f"half-line start must be positive, got {lower}")
-    pair = critical_pair(gf, c, eps)
-    if pair is None:
-        return scale_objective(gf, c, eps, lower), lower
-    if lower >= pair.sigma_u:
-        return scale_objective(gf, c, eps, lower), lower
-    at_upper = scale_objective(gf, c, eps, pair.sigma_u)
-    if lower > pair.sigma_l:
-        return at_upper, pair.sigma_u
+    level = _phi_level(gf, c, eps)
+    sigma_u = None if level is None else _stationary_scale(gf, *level, 2.0)
     at_lower = scale_objective(gf, c, eps, lower)
+    if sigma_u is None or lower >= sigma_u:
+        return at_lower, lower
+    at_upper = scale_objective(gf, c, eps, sigma_u)
     if at_lower <= at_upper:
         return at_lower, lower
-    return at_upper, pair.sigma_u
+    return at_upper, sigma_u
 
 
 def cm_maxbias(gf: GFunction, b: float, c: float, eps: float) -> BiasPoint:
     """Maximum bias of the CM-estimate at contamination eps (exact point)."""
+    gaussian = _is_gaussian(gf.model)
     bp = min(b, 1.0 - b)
     if eps == 0.0:
         return BiasPoint(eps, 0.0, 0.0, exact=True)
@@ -273,7 +277,7 @@ def cm_maxbias(gf: GFunction, b: float, c: float, eps: float) -> BiasPoint:
     inf_from_sigma, _ = objective_tail_inf(gf, c, eps, sigma)
     inf_from_gamma, _ = objective_tail_inf(gf, c, eps, gamma)
     gap = inf_from_sigma - inf_from_gamma
-    if _is_gaussian(gf.model):
+    if gaussian:
         value = math.sqrt(max(math.expm1(2.0 * (c * eps + gap)), 0.0))
     else:
         value = math.expm1(c * eps + gap)
@@ -289,12 +293,12 @@ def mm_bounds(gf1: GFunction, gf2: GFunction, b: float, eps: float) -> BiasPoint
     sit above the bias of the preliminary S-estimate.  A violated condition
     is reported as a flagged point carrying both sides.
     """
+    gaussian = _is_gaussian(gf1.model)
     bp = min(b, 1.0 - b)
     if eps == 0.0:
         return BiasPoint(eps, 0.0, 0.0, exact=True)
     if eps >= bp:
         return BiasPoint(eps, math.inf, math.inf, exact=False, flag="beyond-breakdown")
-    gaussian = _is_gaussian(gf1.model)
     sigma, gamma = scale_bounds(gf1, b, eps)
     r = eps / (1.0 - eps)
     g2_sigma = gf2.g_eval(sigma)
@@ -337,7 +341,7 @@ def _point_for(spec: EstimatorSpec, model: Model, eps: float, cache: dict) -> Bi
 
 
 def _gf(rho: RhoSpec, model: Model, cache: dict) -> GFunction:
-    key = (rho.family, rho.k)
+    key = (rho, model)
     if key not in cache:
         cache[key] = GFunction(rho, model)
     return cache[key]
@@ -371,7 +375,7 @@ def bias_curve(spec: EstimatorSpec, model: Model, eps_grid: Sequence[float]) -> 
         if bb.lower < a.lower - 1e-9 or bb.upper < a.upper - 1e-9:
             violations.append(i)
     return BiasCurve(
-        estimator=spec, model_name=model.name, points=points, monotone_violations=violations
+        estimator=spec, model=model, points=points, monotone_violations=violations
     )
 
 

@@ -35,10 +35,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import fmt, write_rows
+from ._io import fmt, write_rows, write_text
 from .curves import cm_maxbias, objective_tail_inf, s_maxbias, scale_bounds, scale_objective
 from .errors import ConditionError, DomainError
-from .gfunction import GFunction, Model, gaussian_model
+from .gfunction import GAUSSIAN, GFunction, Model, gaussian_model
 from .rho import RhoSpec
 
 __all__ = [
@@ -255,11 +255,13 @@ def inadmissibility_threshold(rho: RhoSpec, model: Model | None = None) -> float
 
     Bisection on the conjunction of the three dominance hypotheses; which
     clause binds depends on the family, so the conjunction itself is
-    bisected.  Gaussian model only.
+    bisected.  Models of GAUSSIAN bias geometry only.
     """
     model = model or gaussian_model()
-    if model.name != "gaussian":
-        raise DomainError("the inadmissibility threshold is defined under the Gaussian model")
+    if model.geometry != GAUSSIAN:
+        raise DomainError(
+            "the inadmissibility threshold is defined under the Gaussian bias geometry"
+        )
     gf = GFunction(rho, model)
     if not _hypotheses_hold(gf, 0.5):
         raise ConditionError(
@@ -329,13 +331,7 @@ def write_report(report: DominanceReport, out) -> None:
         ("verdict", report.verdict),
         ("failed_hypotheses", ";".join(report.failed_hypotheses)),
     ]
-    text = "".join(f"{key}={fmt(value)}\n" for key, value in items)
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        from pathlib import Path
-
-        Path(out).write_text(text)
+    write_text(out, "".join(f"{key}={fmt(value)}\n" for key, value in items))
 
 
 def write_c_profile_csv(report: DominanceReport, out) -> None:

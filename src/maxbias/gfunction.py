@@ -10,6 +10,16 @@ is the engine of every scale analysis here: its unimodality (peak sigma_M,
 height K = phi(sigma_M)) controls the critical points of the penalized
 objective c (1 - eps) g(s) + log s used by the constrained-M machinery.
 
+Models.  Every law is defined once, in the registry ``LAWS``: NORM, SL, CAU,
+T3, DE, CN and UNIF, each with its standard density and distribution, the
+support edge of |Z|, the multiplier that matches its interquartile range to
+the standard normal's, and its bias geometry as a carrier (GAUSSIAN:
+sqrt(r^2 - 1), CAUCHY: r - 1, or None).  A ``Model`` is a registry law at a
+scale, equal and hashed by ``(law, scale)``; ``gaussian_model()`` is
+``Model("NORM")`` and ``cauchy_model()`` is ``Model("CAU")``.  At scale 1 the
+registry callables are used as they are, and the survival function of every
+(symmetric) law is sf(x) = cdf(-x).
+
 Quadrature convention.  Because rho saturates at 1 for |u| >= k, the
 expectation splits exactly:
 
@@ -41,7 +51,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -53,6 +63,10 @@ from .errors import ConditionError, DomainError, NumericalError
 from .rho import ALPHA_QUANTILE, RhoSpec, rho_eval
 
 __all__ = [
+    "GAUSSIAN",
+    "CAUCHY",
+    "Law",
+    "LAWS",
     "Model",
     "gaussian_model",
     "cauchy_model",
@@ -106,21 +120,10 @@ def _column(a):
     return a[:, None] if isinstance(a, np.ndarray) else a
 
 
-@dataclass(frozen=True)
-class Model:
-    """A symmetric error/carrier law via its standard-member functions.
-
-    pdf/cdf/sf/ppf must accept numpy arrays; ``support`` is the upper edge of
-    the support of |Z| (inf for unbounded laws).
-    """
-
-    name: str
-    pdf: Callable[[np.ndarray], np.ndarray]
-    cdf: Callable[[np.ndarray], np.ndarray]
-    sf: Callable[[np.ndarray], np.ndarray]
-    ppf: Callable[[float], float]
-    support: float = math.inf
-
+# Bias geometries of a law as the carrier distribution: how the ratio r of
+# the extreme scales becomes a maximum bias (Martin, Yohai & Zamar 1989).
+GAUSSIAN = "gaussian"  # sqrt(r^2 - 1)
+CAUCHY = "cauchy"  # r - 1
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -129,24 +132,155 @@ def _norm_pdf(z):
     return np.exp(-0.5 * np.square(z)) / _SQRT2PI
 
 
-def gaussian_model() -> Model:
-    return Model(
-        name="gaussian",
-        pdf=_norm_pdf,
-        cdf=lambda z: special.ndtr(z),
-        sf=lambda z: special.ndtr(-np.asarray(z, dtype=float)),
-        ppf=lambda p: float(special.ndtri(p)),
+def _cauchy_pdf(z):
+    return 1.0 / (math.pi * (1.0 + np.square(z)))
+
+
+def _cauchy_cdf(z):
+    return 0.5 + np.arctan(z) / math.pi
+
+
+def _slash_pdf(z):
+    # (phi(0) - phi(z)) / z^2 with its continuous limit phi(0)/2 at the origin.
+    z = np.asarray(z, dtype=float)
+    peak = 1.0 / _SQRT2PI
+    small = np.abs(z) < 1e-4
+    zs = np.where(small, 1.0, z)
+    out = (peak - _norm_pdf(zs)) / zs**2
+    return np.where(small, peak * (0.5 - z**2 / 8.0), out)
+
+
+def _slash_cdf(z):
+    z = np.asarray(z, dtype=float)
+    peak = 1.0 / _SQRT2PI
+    small = np.abs(z) < 1e-4
+    zs = np.where(small, 1.0, z)
+    out = special.ndtr(zs) - (peak - _norm_pdf(zs)) / zs
+    return np.where(small, 0.5 + peak * z / 2.0, out)
+
+
+def _t3_pdf(z):
+    return 2.0 / (math.pi * math.sqrt(3.0) * (1.0 + np.square(z) / 3.0) ** 2)
+
+
+def _t3_cdf(z):
+    z = np.asarray(z, dtype=float)
+    x = z / math.sqrt(3.0)
+    return 0.5 + (x / (1.0 + x**2) + np.arctan(x)) / math.pi
+
+
+def _de_pdf(z):
+    return 0.5 * np.exp(-np.abs(z))
+
+
+def _de_cdf(z):
+    z = np.asarray(z, dtype=float)
+    # Evaluate each exp on a clipped argument; np.where computes both branches.
+    return np.where(
+        z < 0,
+        0.5 * np.exp(np.minimum(z, 0.0)),
+        1.0 - 0.5 * np.exp(-np.maximum(z, 0.0)),
     )
+
+
+def _cn_pdf(z):
+    z = np.asarray(z, dtype=float)
+    return 0.9 * _norm_pdf(z) + 0.1 * _norm_pdf(z / 3.0) / 3.0
+
+
+def _cn_cdf(z):
+    z = np.asarray(z, dtype=float)
+    return 0.9 * special.ndtr(z) + 0.1 * special.ndtr(z / 3.0)
+
+
+def _unif_pdf(z):
+    z = np.asarray(z, dtype=float)
+    return np.where(np.abs(z) <= 1.0, 0.5, 0.0)
+
+
+def _unif_cdf(z):
+    z = np.asarray(z, dtype=float)
+    return np.clip(0.5 * (z + 1.0), 0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class Law:
+    """A standard symmetric law: density, distribution, support edge of |Z|,
+    the multiplier aligning its interquartile range with the standard
+    normal's, and its bias geometry as a carrier (None: not defined)."""
+
+    pdf: Callable
+    cdf: Callable
+    support: float
+    iqr_multiplier: float
+    geometry: str | None
+
+
+# NORM, SL (slash), CAU, T3 (Student t, 3 df), DE (double exponential),
+# CN (90/10 normal mixture with sd 1 and 3) and UNIF on (-1, 1).
+LAWS = {
+    "NORM": Law(_norm_pdf, special.ndtr, math.inf, 1.0, GAUSSIAN),
+    "SL": Law(_slash_pdf, _slash_cdf, math.inf, 0.4587, None),
+    "CAU": Law(_cauchy_pdf, _cauchy_cdf, math.inf, 0.6745, CAUCHY),
+    "T3": Law(_t3_pdf, _t3_cdf, math.inf, 0.8818, None),
+    "DE": Law(_de_pdf, _de_cdf, math.inf, 0.9731, None),
+    "CN": Law(_cn_pdf, _cn_cdf, math.inf, 0.9248, None),
+    "UNIF": Law(_unif_pdf, _unif_cdf, 1.0, 1.3490, None),
+}
+
+
+@dataclass(frozen=True)
+class Model:
+    """The registry law ``law`` stretched by ``scale``; equal and hashed by both.
+
+    pdf/cdf/sf take floats or numpy arrays; ``support`` is the upper edge of
+    the support of |Z| (inf for unbounded laws) and ``geometry`` the law's.
+    """
+
+    law: str
+    scale: float = 1.0
+    pdf: Callable = field(init=False, repr=False, compare=False)
+    cdf: Callable = field(init=False, repr=False, compare=False)
+    sf: Callable = field(init=False, repr=False, compare=False)
+    support: float = field(init=False, repr=False, compare=False)
+    geometry: str | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        base = LAWS.get(self.law)
+        if base is None:
+            raise DomainError(f"unknown law {self.law!r}; expected one of {tuple(LAWS)}")
+        m = self.scale
+        if not (math.isfinite(m) and m > 0):
+            raise DomainError(f"law scale must be a positive finite number, got {m}")
+        if m == 1.0:
+            # The hot path of g and phi: no wrapper at the standard member.
+            pdf, cdf = base.pdf, base.cdf
+        else:
+
+            def pdf(x):
+                return base.pdf(np.asarray(x, dtype=float) / m) / m
+
+            def cdf(x):
+                return base.cdf(np.asarray(x, dtype=float) / m)
+
+        def sf(x):
+            # Every registry law is symmetric: 1 - F(x) = F(-x).
+            return cdf(-x)
+
+        set_field = object.__setattr__  # the derived fields of a frozen instance
+        set_field(self, "pdf", pdf)
+        set_field(self, "cdf", cdf)
+        set_field(self, "sf", sf)
+        set_field(self, "support", base.support * m)
+        set_field(self, "geometry", base.geometry)
+
+
+def gaussian_model() -> Model:
+    return Model("NORM")
 
 
 def cauchy_model() -> Model:
-    return Model(
-        name="cauchy",
-        pdf=lambda z: 1.0 / (math.pi * (1.0 + np.square(z))),
-        cdf=lambda z: 0.5 + np.arctan(z) / math.pi,
-        sf=lambda z: 0.5 - np.arctan(z) / math.pi,
-        ppf=lambda p: math.tan(math.pi * (p - 0.5)),
-    )
+    return Model("CAU")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Shared 1-D numerical kernels: quadrature, bracketed root finding, unimodal maximization.
+"""Shared 1-D numerical kernels: bracketed root finding and unimodal maximization.
 
 Thin contract-enforcing wrappers around scipy's adaptive routines.  All
 functions are pure; there is no shared mutable state, so concurrent use is
@@ -8,16 +8,14 @@ safe.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy import integrate as _integrate
 from scipy import optimize as _optimize
 
 from .errors import BracketError, DomainError, NumericalError
 
-__all__ = ["Tolerance", "DEFAULT_TOL", "integrate", "find_root", "maximize_unimodal"]
+__all__ = ["Tolerance", "DEFAULT_TOL", "find_root", "maximize_unimodal"]
 
 
 @dataclass(frozen=True)
@@ -41,29 +39,6 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
-
-
-def integrate(
-    f: Callable[[float], float], a: float, b: float, tol: Tolerance = DEFAULT_TOL
-) -> float:
-    """Integrate f over [a, b] adaptively; b may be +inf.
-
-    Raises NumericalError if the estimated error cannot be brought below the
-    requested tolerance.
-    """
-    if not a < b:
-        raise DomainError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", category=_integrate.IntegrationWarning)
-        try:
-            value, abserr = _integrate.quad(
-                f, a, b, epsabs=tol.abs_tol, epsrel=tol.rel_tol, limit=tol.max_iter
-            )
-        except _integrate.IntegrationWarning as exc:
-            raise NumericalError(f"quadrature on [{a}, {b}] did not converge: {exc}") from exc
-    if not math.isfinite(value):
-        raise NumericalError(f"quadrature on [{a}, {b}] returned {value}")
-    return value
 
 
 def find_root(

@@ -22,8 +22,9 @@ from maxbias.curves import (
     scale_objective,
     write_curve_csv,
 )
+from maxbias.efficiency import error_law
 from maxbias.errors import DomainError
-from maxbias.gfunction import GFunction
+from maxbias.gfunction import GFunction, gaussian_model
 from maxbias.rho import biweight, rho_eval
 
 
@@ -314,3 +315,30 @@ class TestCurveExport:
     def test_bias_point_interval_validation(self):
         with pytest.raises(DomainError):
             BiasPoint(0.1, 2.0, 1.0, exact=False)
+
+
+GEOMETRY_SPECS = pytest.mark.parametrize(
+    "spec",
+    [
+        s_estimate(biweight(1.5476), 0.5),
+        mm_estimate(biweight(1.5476), biweight(4.685), 0.5),
+        cm_estimate(biweight(1.0), 0.5, 2.568),
+    ],
+    ids=["s", "mm", "cm"],
+)
+
+
+class TestBiasGeometry:
+    """The bias transform follows the model's geometry field, not its spelling."""
+
+    @GEOMETRY_SPECS
+    def test_norm_law_curve_equals_gaussian_model_curve(self, spec):
+        grid = [0.0, 0.05, 0.1, 0.2]
+        assert bias_curve(spec, error_law("NORM"), grid) == bias_curve(
+            spec, gaussian_model(), grid
+        )
+
+    @GEOMETRY_SPECS
+    def test_law_without_geometry_raises(self, spec):
+        with pytest.raises(DomainError):
+            bias_curve(spec, error_law("T3"), [0.1, 0.2])

@@ -21,6 +21,7 @@ from maxbias.dominance import (
     write_c_profile_csv,
     write_report,
 )
+from maxbias.efficiency import error_law
 from maxbias.errors import ConditionError, DomainError
 from maxbias.rho import alpha_quantile, biweight
 
@@ -265,6 +266,14 @@ class TestInadmissibilityThreshold:
     def test_requires_gaussian_model(self, cauchy):
         with pytest.raises(DomainError):
             inadmissibility_threshold(biweight(1.0), cauchy)
+
+    def test_norm_law_is_the_default_model(self):
+        rho = biweight(1.0)
+        assert inadmissibility_threshold(rho, error_law("NORM")) == inadmissibility_threshold(rho)
+
+    def test_law_without_geometry_rejected(self):
+        with pytest.raises(DomainError):
+            inadmissibility_threshold(biweight(1.0), error_law("T3"))
 
 
 class TestRatioCurve:

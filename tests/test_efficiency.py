@@ -3,14 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
-from maxbias.curves import cm_estimate, mm_estimate, s_estimate
+from maxbias.curves import cm_estimate, mm_estimate, objective_tail_inf, s_estimate
 from maxbias import curves
 from maxbias.efficiency import (
     IQR_TARGET,
     LAW_NAMES,
     avar_table,
-    cm_model_scale,
     error_law,
     gaussian_efficiency,
     m_avar,
@@ -44,7 +44,11 @@ class TestErrorLaws:
     @pytest.mark.parametrize("name", LAW_NAMES)
     def test_iqr_normalization(self, name):
         law = error_law(name)
-        iqr = law.model.ppf(0.75) - law.model.ppf(0.25)
+
+        def quartile(p):
+            return optimize.brentq(lambda x: float(law.cdf(x)) - p, -10.0, 10.0, xtol=1e-12)
+
+        iqr = quartile(0.75) - quartile(0.25)
         assert iqr == pytest.approx(IQR_TARGET, abs=1e-3)
 
     @pytest.mark.parametrize("name", LAW_NAMES)
@@ -52,19 +56,19 @@ class TestErrorLaws:
         # Trapezoid mass over a finite window must match the cdf increment,
         # and the far tail must close to 1 (heavy tails close slowly).
         law = error_law(name)
-        grid_hi = law.model.support if math.isfinite(law.model.support) else 50.0
+        grid_hi = law.support if math.isfinite(law.support) else 50.0
         grid = np.linspace(-grid_hi, grid_hi, 200_001)
-        mass = np.trapezoid(law.model.pdf(grid), grid)
-        increment = float(law.model.cdf(grid_hi) - law.model.cdf(-grid_hi))
+        mass = np.trapezoid(law.pdf(grid), grid)
+        increment = float(law.cdf(grid_hi) - law.cdf(-grid_hi))
         assert mass == pytest.approx(increment, abs=5e-6)
-        far = grid_hi if math.isfinite(law.model.support) else 1e8
-        assert float(law.model.cdf(far)) == pytest.approx(1.0, abs=1e-6)
+        far = grid_hi if math.isfinite(law.support) else 1e8
+        assert float(law.cdf(far)) == pytest.approx(1.0, abs=1e-6)
 
     def test_slash_density_center_is_continuous_limit(self):
         law = error_law("SL")
-        m = law.multiplier
+        m = law.scale
         peak = 1.0 / math.sqrt(2 * math.pi)
-        assert float(law.model.pdf(0.0)) == pytest.approx(peak / (2 * m), rel=1e-10)
+        assert float(law.pdf(0.0)) == pytest.approx(peak / (2 * m), rel=1e-10)
 
     def test_unknown_law(self):
         with pytest.raises(DomainError):
@@ -81,7 +85,7 @@ class TestMAvar:
 
     def test_wide_biweight_at_scaled_cauchy(self, k_half):
         law = error_law("CAU")
-        scale = s_scale(GFunction(biweight(k_half), law.model), 0.5)
+        scale = s_scale(GFunction(biweight(k_half), law), 0.5)
         k95 = tune("mm", b=0.5, target_eff=0.95)
         assert m_avar(biweight(k95), scale, law) == pytest.approx(1.312, abs=0.05)
 
@@ -119,36 +123,41 @@ class TestMAvar:
 
 class TestScales:
     def test_s_scale_consistent_at_normal(self, norm_law):
-        gf = GFunction(biweight(1.56), norm_law.model)
+        gf = GFunction(biweight(1.56), norm_law)
         assert s_scale(gf, 0.5) == pytest.approx(1.0, abs=0.01)
 
     def test_s_scale_round_trip(self, norm_law):
-        gf = GFunction(biweight(1.56), norm_law.model)
+        gf = GFunction(biweight(1.56), norm_law)
         scale = s_scale(gf, 0.5)
         assert gf.g_eval(scale) == pytest.approx(0.5, abs=1e-8)
 
     def test_wide_biweight_low_quantile(self, norm_law):
-        gf = GFunction(biweight(4.68), norm_law.model)
+        gf = GFunction(biweight(4.68), norm_law)
         assert s_scale(gf, 0.12) == pytest.approx(1.0, abs=0.02)
 
+    # The CM scale at a law is the argmin of c g(s) + log s over s >= the S
+    # scale; it binds when that argmin is the boundary.
+
     def test_cm_scale_binding_at_heavy_tails(self):
-        law = error_law("CAU")
-        gf = GFunction(biweight(1.0), law.model)
-        scale, binding = cm_model_scale(gf, 0.5, 2.568)
-        assert binding
+        gf = GFunction(biweight(1.0), error_law("CAU"))
+        boundary = s_scale(gf, 0.5)
+        _, scale = objective_tail_inf(gf, 2.568, 0.0, boundary)
+        assert scale == boundary
         assert scale == pytest.approx(s_scale(gf, 0.5), rel=1e-10)
 
     def test_cm_scale_interior_at_normal(self, norm_law):
-        gf = GFunction(biweight(1.0), norm_law.model)
-        scale, binding = cm_model_scale(gf, 0.5, 2.568)
-        assert not binding
+        gf = GFunction(biweight(1.0), norm_law)
+        boundary = s_scale(gf, 0.5)
+        _, scale = objective_tail_inf(gf, 2.568, 0.0, boundary)
+        assert scale != boundary
         assert gf.phi_eval(scale) == pytest.approx(1.0 / 2.568, rel=1e-8)
 
     def test_cm_scale_binding_for_small_tuning(self, norm_law):
-        gf = GFunction(biweight(1.0), norm_law.model)
+        gf = GFunction(biweight(1.0), norm_law)
         _, cap = gf.peak()
-        scale, binding = cm_model_scale(gf, 0.5, 0.9 / cap)
-        assert binding
+        boundary = s_scale(gf, 0.5)
+        _, scale = objective_tail_inf(gf, 0.9 / cap, 0.0, boundary)
+        assert scale == boundary
 
     def test_cm_scale_unbracketable_upper_scale_raises(self):
         class FlatPhi:
@@ -169,7 +178,7 @@ class TestScales:
                 return 10.0
 
         with pytest.raises(NumericalError):
-            cm_model_scale(FlatPhi(), 0.5, 1.0)
+            objective_tail_inf(FlatPhi(), 1.0, 0.0, s_scale(FlatPhi(), 0.5))
         assert FlatPhi.calls <= 200
 
 
@@ -292,7 +301,7 @@ class TestAvarTable:
 
         class CountingGFunction(GFunction):
             def __init__(self, rho, model):
-                built.append((rho, model.name))
+                built.append((rho, model))
                 super().__init__(rho, model)
 
         specs = reference_estimators()
@@ -307,12 +316,13 @@ class TestAvarTable:
             law = error_law(law_name)
             for label, spec in specs:
                 if spec.kind == "cm":
-                    scale, binding = cm_model_scale(
-                        GFunction(spec.rho, law.model), spec.b, spec.c
-                    )
+                    gf = GFunction(spec.rho, law)
+                    boundary = s_scale(gf, spec.b)
+                    _, scale = objective_tail_inf(gf, spec.c, 0.0, boundary)
+                    binding = scale == boundary
                 else:
                     rho = spec.rho1 if spec.kind == "mm" else spec.rho
-                    scale, binding = s_scale(GFunction(rho, law.model), spec.b), None
+                    scale, binding = s_scale(GFunction(rho, law), spec.b), None
                 psi_rho = spec.rho2 if spec.kind == "mm" else spec.rho
                 fresh.append((label, law_name, scale, m_avar(psi_rho, scale, law), binding))
         assert [(c.estimator, c.law, c.scale, c.avar, c.binding) for c in shared] == fresh

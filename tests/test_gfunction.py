@@ -1,8 +1,11 @@
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate as spi
 from scipy import special
 
@@ -11,7 +14,12 @@ from maxbias.errors import DomainError
 from maxbias.gfunction import (
     _COARSE,
     _TABLE_STRIDE,
+    CAUCHY,
+    GAUSSIAN,
+    GINV_FLOOR,
+    LAWS,
     GFunction,
+    Model,
     second_differences_nonnegative,
     write_phi_csv,
 )
@@ -206,8 +214,8 @@ class TestPhiExport:
 
 ALL_MODELS = pytest.mark.parametrize(
     "model",
-    [gaussian_model(), cauchy_model()] + [error_law(name).model for name in LAW_NAMES],
-    ids=lambda m: m.name,
+    [gaussian_model(), cauchy_model()] + [error_law(name) for name in LAW_NAMES],
+    ids=["gaussian", "cauchy"] + [f"law-{name}" for name in LAW_NAMES],
 )
 ALL_RHOS = pytest.mark.parametrize(
     "rho",
@@ -258,3 +266,92 @@ class TestBracketTable:
         gf.g_inverse(0.5)
         filled = np.count_nonzero(~np.isnan(gf._table[1]))
         assert filled == len(_COARSE) + _TABLE_STRIDE - 1
+
+
+class TestModelRegistry:
+    """Every law is one registry entry; a Model is (law, scale) and nothing else."""
+
+    def test_equality_and_hash_are_law_and_scale(self):
+        assert gaussian_model() == gaussian_model()
+        assert hash(gaussian_model()) == hash(gaussian_model())
+        assert error_law("NORM") == gaussian_model()
+        assert hash(error_law("NORM")) == hash(gaussian_model())
+        assert error_law("CAU") == Model("CAU", 0.6745)
+        # The IQR-normalized Cauchy law is a different scale of the same law.
+        assert cauchy_model() != error_law("CAU")
+        assert len({gaussian_model(), error_law("NORM"), cauchy_model(), error_law("CAU")}) == 3
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gaussian_model().scale = 2.0
+
+    def test_rejects_unknown_law_and_bad_scale(self):
+        with pytest.raises(DomainError):
+            Model("T5")
+        for scale in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                Model("NORM", scale)
+
+    def test_geometry_is_a_field_of_the_law(self):
+        assert gaussian_model().geometry == GAUSSIAN
+        assert cauchy_model().geometry == error_law("CAU").geometry == CAUCHY
+        for name in ("SL", "T3", "DE", "CN", "UNIF"):
+            assert error_law(name).geometry is None
+
+    def test_standard_member_uses_registry_callables(self):
+        # No x/m wrapper on the hot path of g and phi at scale 1.
+        for name, law in LAWS.items():
+            model = Model(name)
+            assert model.pdf is law.pdf and model.cdf is law.cdf
+
+    def test_survival_function_of_the_carriers(self):
+        x = np.concatenate((-np.logspace(-6, 6, 501), np.logspace(-6, 6, 501)))
+        assert np.array_equal(gaussian_model().sf(x), special.ndtr(-x))
+        assert np.array_equal(cauchy_model().sf(x), 0.5 - np.arctan(x) / math.pi)
+        for s in (0.3, 1.7, 40.0):
+            assert gaussian_model().sf(s) == special.ndtr(-s)
+            assert cauchy_model().sf(s) == 0.5 - np.arctan(s) / math.pi
+
+
+PROPERTY_MODELS = [Model(name) for name in LAWS] + [error_law(name) for name in LAW_NAMES]
+PROPERTY_RHOS = [biweight(1.5476), biweight(4.685), alpha_quantile()]
+_property_gfs: dict = {}
+
+
+def _property_gf(model, rho):
+    key = (model, rho)
+    if key not in _property_gfs:
+        _property_gfs[key] = GFunction(rho, model)
+    return _property_gfs[key]
+
+
+class TestGProperties:
+    """Over every registry law and both scales: g inverts and decreases."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        model=st.sampled_from(PROPERTY_MODELS),
+        rho=st.sampled_from(PROPERTY_RHOS),
+        log_s=st.floats(-3.0, 3.0),
+    )
+    def test_round_trip(self, model, rho, log_s):
+        gf = _property_gf(model, rho)
+        v = gf.g_eval(10.0**log_s)
+        assume(GINV_FLOOR < v < 1.0 - GINV_FLOOR)
+        assert abs(gf.g_eval(gf.g_inverse(v)) - v) <= 1e-12
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        model=st.sampled_from(PROPERTY_MODELS),
+        rho=st.sampled_from(PROPERTY_RHOS),
+        log_s=st.floats(-3.0, 3.0),
+        log_step=st.floats(-4.0, 0.0),
+    )
+    def test_strictly_decreasing(self, model, rho, log_s, log_step):
+        gf = _property_gf(model, rho)
+        s = 10.0**log_s
+        t = s * (1.0 + 10.0**log_step)
+        assume(t <= 1e3)
+        g_s, g_t = gf.g_eval(s), gf.g_eval(t)
+        assume(GINV_FLOOR < g_t and g_s < 1.0 - GINV_FLOOR)
+        assert g_s > g_t

@@ -5,42 +5,11 @@ import pytest
 from scipy import special
 
 from maxbias.errors import BracketError, DomainError
-from maxbias.numerics import Tolerance, find_root, integrate, maximize_unimodal
+from maxbias.numerics import Tolerance, find_root, maximize_unimodal
 
 
 def norm_pdf(x):
     return math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-
-
-class TestIntegrate:
-    def test_constant(self):
-        assert integrate(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_normal_density_normalizes(self):
-        assert integrate(norm_pdf, -math.inf, math.inf) == pytest.approx(1.0, abs=1e-9)
-
-    def test_polynomial(self):
-        assert integrate(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_additive_on_random_smooth_integrands(self):
-        rng = np.random.default_rng(7)
-        tol = Tolerance()
-        for _ in range(10):
-            a0, a1, a2, w = rng.uniform(-2, 2, size=4)
-
-            def f(x):
-                return a0 + a1 * math.sin(w * x) + a2 * x * x
-
-            a, b, c = sorted(rng.uniform(-5, 5, size=3))
-            if b - a < 1e-3 or c - b < 1e-3:
-                continue
-            whole = integrate(f, a, c, tol)
-            split = integrate(f, a, b, tol) + integrate(f, b, c, tol)
-            assert split == pytest.approx(whole, abs=10 * tol.abs_tol)
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(DomainError):
-            integrate(lambda x: x, 1.0, 0.0)
 
 
 class TestFindRoot:
