@@ -64,7 +64,7 @@ from .gfunction import (
     gaussian_model,
     write_phi_csv,
 )
-from .numerics import Tolerance, find_root, maximize_unimodal
+from .numerics import find_root, maximize_unimodal
 from .rho import (
     ALPHA_QUANTILE,
     BIWEIGHT,

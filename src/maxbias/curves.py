@@ -66,6 +66,13 @@ CM_KIND = "cm"
 _MONOTONE_SLACK = 1e-10
 
 
+def _breakdown(b: float) -> float:
+    """The breakdown point min(b, 1 - b) of scale quantile b, which must lie in (0, 1)."""
+    if not 0.0 < b < 1.0:
+        raise DomainError(f"scale quantile b must lie in (0, 1), got {b}")
+    return min(b, 1.0 - b)
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
     """An S, MM or CM regression estimate: loss(es), scale quantile b, CM tuning c."""
@@ -80,8 +87,7 @@ class EstimatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in (S_KIND, MM_KIND, CM_KIND):
             raise DomainError(f"unknown estimator kind {self.kind!r}")
-        if not 0.0 < self.b < 1.0:
-            raise DomainError(f"scale quantile b must lie in (0, 1), got {self.b}")
+        _breakdown(self.b)
         if self.kind == MM_KIND:
             if self.rho1 is None or self.rho2 is None:
                 raise DomainError("an MM estimate needs both rho1 and rho2")
@@ -92,13 +98,6 @@ class EstimatorSpec:
         if self.kind == CM_KIND:
             if self.c is None or not self.c > 0:
                 raise DomainError(f"a CM estimate needs a tuning constant c > 0, got {self.c}")
-
-    def label(self) -> str:
-        if self.kind == MM_KIND:
-            return f"mm(k1={self.rho1.k:g},k2={self.rho2.k:g},b={self.b:g})"
-        if self.kind == CM_KIND:
-            return f"cm({self.rho.family},k={self.rho.k:g},b={self.b:g},c={self.c:g})"
-        return f"s({self.rho.family},k={self.rho.k:g},b={self.b:g})"
 
 
 def _require_dominating_losses(rho1: RhoSpec, rho2: RhoSpec) -> None:
@@ -127,7 +126,7 @@ def cm_estimate(rho: RhoSpec, b: float, c: float) -> EstimatorSpec:
 
 def breakdown_point(spec: EstimatorSpec) -> float:
     """min(b, 1 - b); for MM this is driven by the preliminary-scale quantile."""
-    return min(spec.b, 1.0 - spec.b)
+    return _breakdown(spec.b)
 
 
 @dataclass(frozen=True)
@@ -163,16 +162,11 @@ class BiasCurve:
     monotone_violations: list[int] = field(default_factory=list)
 
 
-def _check_eps(b: float, eps: float) -> float:
-    bp = min(b, 1.0 - b)
-    if not 0.0 <= eps < bp:
-        raise DomainError(f"eps must satisfy 0 <= eps < min(b, 1-b) = {bp:g}, got {eps}")
-    return bp
-
-
 def scale_bounds(gf: GFunction, b: float, eps: float) -> tuple[float, float]:
     """(sigma_{b,eps}, gamma_{b,eps}): sup and inf of the M-scale over the neighborhood."""
-    _check_eps(b, eps)
+    bp = _breakdown(b)
+    if not 0.0 <= eps < bp:
+        raise DomainError(f"eps must satisfy 0 <= eps < min(b, 1-b) = {bp:g}, got {eps}")
     sigma = gf.g_inverse((b - eps) / (1.0 - eps))
     gamma = gf.g_inverse(b / (1.0 - eps))
     return sigma, gamma
@@ -191,14 +185,25 @@ def _ratio_to_bias(ratio: float, gaussian: bool) -> float:
     return ratio - 1.0
 
 
-def s_maxbias(gf: GFunction, b: float, eps: float) -> BiasPoint:
-    """Maximum bias of the S-estimate at contamination eps (exact point)."""
-    gaussian = _is_gaussian(gf.model)
-    bp = min(b, 1.0 - b)
+def _defined_point(b: float, eps: float, exact_beyond: bool = True) -> BiasPoint | None:
+    """The point at eps = 0 (zero bias) or beyond breakdown (infinite bias), else None.
+
+    b is checked first, so a point is never returned for b outside (0, 1).
+    """
+    bp = _breakdown(b)
     if eps == 0.0:
         return BiasPoint(eps, 0.0, 0.0, exact=True)
     if eps >= bp:
-        return BiasPoint(eps, math.inf, math.inf, exact=True, flag="beyond-breakdown")
+        return BiasPoint(eps, math.inf, math.inf, exact=exact_beyond, flag="beyond-breakdown")
+    return None
+
+
+def s_maxbias(gf: GFunction, b: float, eps: float) -> BiasPoint:
+    """Maximum bias of the S-estimate at contamination eps (exact point)."""
+    gaussian = _is_gaussian(gf.model)
+    defined = _defined_point(b, eps)
+    if defined is not None:
+        return defined
     sigma, gamma = scale_bounds(gf, b, eps)
     value = _ratio_to_bias(sigma / gamma, gaussian)
     return BiasPoint(eps, value, value, exact=True)
@@ -209,10 +214,14 @@ def scale_objective(gf: GFunction, c: float, eps: float, s: float) -> float:
     return c * (1.0 - eps) * gf.g_eval(s) + math.log(s)
 
 
+def _check_c(c: float) -> None:
+    if not c > 0:
+        raise DomainError(f"tuning constant must be positive, got {c}")
+
+
 def _phi_level(gf: GFunction, c: float, eps: float) -> tuple[float, float] | None:
     """(sigma_M, 1/[(1-eps) c]), or None when phi never reaches that level."""
-    if c <= 0:
-        raise DomainError(f"tuning constant must be positive, got {c}")
+    _check_c(c)
     sigma_m, cap = gf.peak()
     if c * (1.0 - eps) * cap <= 1.0 + _MONOTONE_SLACK:
         return None
@@ -254,8 +263,19 @@ def objective_tail_inf(
     """
     if not lower > 0:
         raise DomainError(f"half-line start must be positive, got {lower}")
+    return _tail_inf(gf, c, eps, lower, _upper_stationary_scale(gf, c, eps))
+
+
+def _upper_stationary_scale(gf: GFunction, c: float, eps: float) -> float | None:
+    """The upper stationary scale of the objective, or None in the monotone case."""
     level = _phi_level(gf, c, eps)
-    sigma_u = None if level is None else _stationary_scale(gf, *level, 2.0)
+    return None if level is None else _stationary_scale(gf, *level, 2.0)
+
+
+def _tail_inf(
+    gf: GFunction, c: float, eps: float, lower: float, sigma_u: float | None
+) -> tuple[float, float]:
+    """objective_tail_inf with the upper stationary scale sigma_u already solved."""
     at_lower = scale_objective(gf, c, eps, lower)
     if sigma_u is None or lower >= sigma_u:
         return at_lower, lower
@@ -266,16 +286,19 @@ def objective_tail_inf(
 
 
 def cm_maxbias(gf: GFunction, b: float, c: float, eps: float) -> BiasPoint:
-    """Maximum bias of the CM-estimate at contamination eps (exact point)."""
+    """Maximum bias of the CM-estimate at contamination eps (exact point).
+
+    Both half-line infima share the one upper stationary scale of (c, eps).
+    """
     gaussian = _is_gaussian(gf.model)
-    bp = min(b, 1.0 - b)
-    if eps == 0.0:
-        return BiasPoint(eps, 0.0, 0.0, exact=True)
-    if eps >= bp:
-        return BiasPoint(eps, math.inf, math.inf, exact=True, flag="beyond-breakdown")
+    _check_c(c)
+    defined = _defined_point(b, eps)
+    if defined is not None:
+        return defined
     sigma, gamma = scale_bounds(gf, b, eps)
-    inf_from_sigma, _ = objective_tail_inf(gf, c, eps, sigma)
-    inf_from_gamma, _ = objective_tail_inf(gf, c, eps, gamma)
+    sigma_u = _upper_stationary_scale(gf, c, eps)
+    inf_from_sigma, _ = _tail_inf(gf, c, eps, sigma, sigma_u)
+    inf_from_gamma, _ = _tail_inf(gf, c, eps, gamma, sigma_u)
     gap = inf_from_sigma - inf_from_gamma
     if gaussian:
         value = math.sqrt(max(math.expm1(2.0 * (c * eps + gap)), 0.0))
@@ -294,11 +317,9 @@ def mm_bounds(gf1: GFunction, gf2: GFunction, b: float, eps: float) -> BiasPoint
     is reported as a flagged point carrying both sides.
     """
     gaussian = _is_gaussian(gf1.model)
-    bp = min(b, 1.0 - b)
-    if eps == 0.0:
-        return BiasPoint(eps, 0.0, 0.0, exact=True)
-    if eps >= bp:
-        return BiasPoint(eps, math.inf, math.inf, exact=False, flag="beyond-breakdown")
+    defined = _defined_point(b, eps, exact_beyond=False)
+    if defined is not None:
+        return defined
     sigma, gamma = scale_bounds(gf1, b, eps)
     r = eps / (1.0 - eps)
     g2_sigma = gf2.g_eval(sigma)

@@ -36,7 +36,14 @@ from typing import Sequence
 import numpy as np
 
 from ._io import fmt, write_rows, write_text
-from .curves import cm_maxbias, objective_tail_inf, s_maxbias, scale_bounds, scale_objective
+from .curves import (
+    _breakdown,
+    cm_maxbias,
+    objective_tail_inf,
+    s_maxbias,
+    scale_bounds,
+    scale_objective,
+)
 from .errors import ConditionError, DomainError
 from .gfunction import GAUSSIAN, GFunction, Model, gaussian_model
 from .rho import RhoSpec
@@ -70,16 +77,13 @@ INAPPLICABLE = "Inapplicable"
 # multiples of the phi peak.
 _CONVEXITY_DELTA = 1e-3
 
-
-def _check_b(b: float) -> float:
-    if not 0.0 < b < 1.0:
-        raise DomainError(f"scale quantile b must lie in (0, 1), got {b}")
-    return min(b, 1.0 - b)
+# Points of the exported c(eps) profile.
+_PROFILE_POINTS = 64
 
 
 def c_of_eps(gf: GFunction, b: float, eps: float) -> float:
     """c(eps) = log(sigma_{b,eps}/gamma_{b,eps}) / eps, the break-even tuning."""
-    bp = _check_b(b)
+    bp = _breakdown(b)
     if not 0.0 < eps < bp:
         raise DomainError(f"eps must lie in (0, {bp:g}), got {eps}")
     sigma, gamma = scale_bounds(gf, b, eps)
@@ -87,7 +91,7 @@ def c_of_eps(gf: GFunction, b: float, eps: float) -> float:
 
 def c_zero_limit(gf: GFunction, b: float) -> float:
     """The eps -> 0 limit of c(eps): 1 / phi(g^{-1}(b))."""
-    _check_b(b)
+    _breakdown(b)
     return 1.0 / gf.phi_eval(gf.g_inverse(b))
 
 
@@ -103,7 +107,7 @@ def _profile_grid(bp: float, n: int) -> np.ndarray:
 
 def c_naught(gf: GFunction, b: float, n: int = 512) -> float:
     """inf of c(eps) over (0, min(b, 1-b)), refined grid plus the analytic limit."""
-    bp = _check_b(b)
+    bp = _breakdown(b)
     grid = _profile_grid(bp, n)
     values = [c_of_eps(gf, b, eps) for eps in grid]
     return min(min(values), c_zero_limit(gf, b))
@@ -111,7 +115,7 @@ def c_naught(gf: GFunction, b: float, n: int = 512) -> float:
 
 def c_one(gf: GFunction, b: float) -> float:
     """log(sigma_M / sigma_{b,0}) / (b - g(sigma_M)); needs g(sigma_M) < b."""
-    _check_b(b)
+    _breakdown(b)
     sigma_m, _ = gf.peak()
     g_at_peak = gf.g_eval(sigma_m)
     if not g_at_peak < b:
@@ -128,7 +132,7 @@ def slope_condition(gf: GFunction, b: float) -> bool:
     This bound keeps the derivative of eps*c(eps) above 1/phi(sigma_{b,0})
     everywhere, so the infimum of c(eps) is attained in the eps -> 0 limit.
     """
-    _check_b(b)
+    _breakdown(b)
     sigma_m, _ = gf.peak()
     g_at_peak = gf.g_eval(sigma_m)
     lhs = gf.phi_eval(gf.g_inverse(b))
@@ -167,35 +171,23 @@ class DominanceReport:
     c_profile: np.ndarray  # rows (eps, c(eps))
 
 
-def dominance_report(
-    gf: GFunction, b: float, profile_points: int = 64, infimum_points: int = 512
-) -> DominanceReport:
+def dominance_report(gf: GFunction, b: float) -> DominanceReport:
     """Assemble the full tuning diagnosis for the (loss, b) pair under its model."""
-    bp = _check_b(b)
+    bp = _breakdown(b)
     sigma_m, cap = gf.peak()
     g_at_peak = gf.g_eval(sigma_m)
     sigma_b0 = gf.g_inverse(b)
 
-    profile_eps = _profile_grid(bp, profile_points)
+    profile_eps = _profile_grid(bp, _PROFILE_POINTS)
     profile = np.column_stack(
         (profile_eps, [c_of_eps(gf, b, e) for e in profile_eps])
     )
-    c0 = c_naught(gf, b, n=infimum_points)
+    c0 = c_naught(gf, b)
     c0_lim = c_zero_limit(gf, b)
     lower_bound = (1.0 - b) / cap + b / gf.phi_eval(sigma_b0)
 
-    gamma_floor = _convexity_floor(gf, b, bp)
-    convex = gf.check_g_convex(lo=gamma_floor, hi=4.0 * sigma_m)
-    slope_ok = slope_condition(gf, b)
-    g_le_b = bool(g_at_peak <= b)
-
-    failed = []
-    if not convex:
-        failed.append("g-convex")
-    if not slope_ok:
-        failed.append("slope-condition")
-    if not g_le_b:
-        failed.append("g(sigma_M)<=b")
+    hypotheses = _hypotheses(gf, b)
+    failed = [name for name, holds in hypotheses.items() if not holds]
 
     c1_value: float | None
     try:
@@ -223,9 +215,9 @@ def dominance_report(
         c0_limit=c0_lim,
         c1=c1_value,
         lower_bound_c0=lower_bound,
-        slope_condition=slope_ok,
-        g_convex=convex,
-        g_sigma_m_le_b=g_le_b,
+        slope_condition=hypotheses["slope-condition"],
+        g_convex=hypotheses["g-convex"],
+        g_sigma_m_le_b=hypotheses["g(sigma_M)<=b"],
         dominance_interval=interval,
         verdict=verdict,
         failed_hypotheses=tuple(failed),
@@ -233,21 +225,17 @@ def dominance_report(
     )
 
 
-def _convexity_floor(gf: GFunction, b: float, bp: float) -> float:
-    # Smallest neighborhood scale the dominance argument can visit: gamma at
-    # contamination just shy of breakdown.
-    eps = bp - min(_CONVEXITY_DELTA, 0.5 * bp)
-    return scale_bounds(gf, b, eps)[1]
-
-
-def _hypotheses_hold(gf: GFunction, b: float) -> bool:
+def _hypotheses(gf: GFunction, b: float) -> dict[str, bool]:
+    """Whether each dominance hypothesis holds at b, by name, in report order."""
+    bp = _breakdown(b)
     sigma_m, _ = gf.peak()
-    if not gf.g_eval(sigma_m) <= b:
-        return False
-    if not slope_condition(gf, b):
-        return False
-    bp = min(b, 1.0 - b)
-    return gf.check_g_convex(lo=_convexity_floor(gf, b, bp), hi=4.0 * sigma_m)
+    # gamma at contamination just shy of breakdown: the smallest scale visited.
+    gamma_floor = scale_bounds(gf, b, bp - min(_CONVEXITY_DELTA, 0.5 * bp))[1]
+    return {
+        "g-convex": gf.check_g_convex(lo=gamma_floor, hi=4.0 * sigma_m),
+        "slope-condition": slope_condition(gf, b),
+        "g(sigma_M)<=b": bool(gf.g_eval(sigma_m) <= b),
+    }
 
 
 def inadmissibility_threshold(rho: RhoSpec, model: Model | None = None) -> float:
@@ -263,14 +251,18 @@ def inadmissibility_threshold(rho: RhoSpec, model: Model | None = None) -> float
             "the inadmissibility threshold is defined under the Gaussian bias geometry"
         )
     gf = GFunction(rho, model)
-    if not _hypotheses_hold(gf, 0.5):
+
+    def hypotheses_hold(b: float) -> bool:
+        return all(_hypotheses(gf, b).values())
+
+    if not hypotheses_hold(0.5):
         raise ConditionError(
             f"the dominance hypotheses never hold on (0, 0.5] for {rho.family}"
         )
     hi = 0.5
     lo = None
     for b in np.arange(0.495, 0.0, -0.005):
-        if _hypotheses_hold(gf, float(b)):
+        if hypotheses_hold(float(b)):
             hi = float(b)
         else:
             lo = float(b)
@@ -279,7 +271,7 @@ def inadmissibility_threshold(rho: RhoSpec, model: Model | None = None) -> float
         return hi  # holds on the whole scanned range
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
-        if _hypotheses_hold(gf, mid):
+        if hypotheses_hold(mid):
             hi = mid
         else:
             lo = mid

@@ -37,6 +37,7 @@ from .curves import (
     MM_KIND,
     S_KIND,
     EstimatorSpec,
+    _breakdown,
     _gf,
     cm_estimate,
     mm_estimate,
@@ -50,12 +51,11 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .gfunction import LAWS, GFunction, Model, gaussian_model, halfline_expectation
-from .numerics import Tolerance, find_root
+from .numerics import find_root
 from .rho import RhoSpec, biweight, psi_deriv_eval, psi_eval
 
 __all__ = [
     "LAW_NAMES",
-    "SCALE_MULTIPLIERS",
     "IQR_TARGET",
     "error_law",
     "slope_avar",
@@ -70,9 +70,6 @@ __all__ = [
 ]
 
 LAW_NAMES = tuple(LAWS)
-
-# Multipliers aligning each law's interquartile range with the normal's.
-SCALE_MULTIPLIERS = {name: law.iqr_multiplier for name, law in LAWS.items()}
 
 IQR_TARGET = 1.3490
 
@@ -116,8 +113,7 @@ def m_avar(rho: RhoSpec, scale: float, law: Model) -> float:
 
 def s_scale(gf: GFunction, b: float) -> float:
     """The residual scale of the S functional at the law: the root of g(s) = b."""
-    if not 0.0 < b < 1.0:
-        raise DomainError(f"scale quantile b must lie in (0, 1), got {b}")
+    _breakdown(b)
     return gf.g_inverse(b)
 
 
@@ -156,9 +152,6 @@ def _unit_scale_eff(k: float) -> float:
     return 1.0 / m_avar(biweight(k), 1.0, gaussian_model())
 
 
-_TUNE_TOL = Tolerance(abs_tol=1e-10)
-
-
 def _k_for_eff(target: float) -> float:
     if not 0.0 < target < 1.0:
         raise TargetRangeError(target, (0.0, 1.0))
@@ -171,7 +164,7 @@ def _k_for_eff(target: float) -> float:
         lo *= 0.5
         if lo < 1e-4:
             raise TargetRangeError(target, (_unit_scale_eff(2e-4), 1.0))
-    return find_root(lambda k: _unit_scale_eff(k) - target, lo, hi, _TUNE_TOL)
+    return find_root(lambda k: _unit_scale_eff(k) - target, lo, hi)
 
 
 def tune(
@@ -191,28 +184,26 @@ def tune(
       unit-cutoff biweight loss reaching the target Gaussian efficiency.
     """
     kind = kind.lower()
-    gauss = GFunction(biweight(1.0), gaussian_model())
     if kind == S_KIND:
         if (b is None) == (k is None):
             raise DomainError("tune('s', ...) takes exactly one of b or k")
-        if b is not None:
-            if not 0.0 < b < 1.0:
-                raise DomainError(f"b must lie in (0, 1), got {b}")
-            return gauss.g_inverse(b)
-        return gauss.g_eval(k)
+        gauss = GFunction(biweight(1.0), gaussian_model())
+        return gauss.g_eval(k) if b is None else s_scale(gauss, b)
     if target_eff is None or b is None:
         raise DomainError(f"tune({kind!r}, ...) needs both b and target_eff")
+    _breakdown(b)
     if kind == MM_KIND:
         # The first loss is normalized so the preliminary scale is 1 at the
         # normal, so the target pins k2 directly.
         return _k_for_eff(target_eff)
     if kind == CM_KIND:
-        gf = gauss
-        floor_eff = gaussian_efficiency(s_estimate(biweight(1.0), b))
+        gf = GFunction(biweight(1.0), gaussian_model())
+        boundary = s_scale(gf, b)
+        # The binding CM estimate is the S-estimate: its efficiency is the floor.
+        floor_eff = _unit_scale_eff(boundary)
         if not floor_eff < target_eff < 1.0:
             raise TargetRangeError(target_eff, (floor_eff, 1.0))
         _, cap = gf.peak()
-        boundary = s_scale(gf, b)
 
         def eff_of(c: float) -> float:
             _, scale = objective_tail_inf(gf, c, 0.0, boundary)
@@ -224,7 +215,7 @@ def tune(
             hi *= 2.0
             if hi > 1e6:
                 raise TargetRangeError(target_eff, (floor_eff, 1.0))
-        return find_root(lambda c: eff_of(c) - target_eff, lo, hi, _TUNE_TOL)
+        return find_root(lambda c: eff_of(c) - target_eff, lo, hi)
     raise DomainError(f"unknown estimator kind {kind!r}")
 
 

@@ -72,7 +72,6 @@ __all__ = [
     "cauchy_model",
     "GFunction",
     "UnimodalityCheck",
-    "second_differences_nonnegative",
     "write_phi_csv",
     "GINV_FLOOR",
 ]
@@ -88,6 +87,11 @@ _TABLE_RANGE = (1e-4, 1e4)
 # search of the whole table would.
 _TABLE_STRIDE = 32
 _COARSE = np.append(np.arange(0, _TABLE_SIZE - 1, _TABLE_STRIDE), _TABLE_SIZE - 1)
+
+# Points of the phi unimodality scan (log grid over [1e-3 k, 1e3 k]) and of
+# the g convexity scan (uniform grid).
+_UNIMODAL_POINTS = 2048
+_CONVEX_POINTS = 400
 
 
 def _unit_rule(nodes_per_panel: int = 32) -> tuple[np.ndarray, np.ndarray]:
@@ -292,17 +296,10 @@ class UnimodalityCheck:
     table: np.ndarray  # shape (n, 2): columns s, phi(s)
 
 
-def second_differences_nonnegative(
-    fn: Callable[[float], float], lo: float, hi: float, n: int = 400, tol: float = 1e-8
-) -> bool:
-    """Discrete convexity check of fn on a uniform grid over [lo, hi]."""
-    grid = np.linspace(lo, hi, n)
-    return _convex_values(np.array([fn(s) for s in grid]), tol)
-
-
-def _convex_values(vals: np.ndarray, tol: float = 1e-8) -> bool:
+def _convex_values(vals: np.ndarray) -> bool:
+    """Whether the second differences of vals on a uniform grid are >= -1e-8."""
     second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
-    return bool(np.min(second) >= -tol)
+    return bool(np.min(second) >= -1e-8)
 
 
 def halfline_expectation(
@@ -357,7 +354,7 @@ class GFunction:
             finite = edge * np.dot(vals, _UW)
         return 2.0 * finite + 2.0 * self.model.sf(a)
 
-    def g_inverse(self, v: float, tol: numerics.Tolerance | None = None) -> float:
+    def g_inverse(self, v: float) -> float:
         """The scale s with g(s) = v, for v in (0, 1); unique by monotonicity."""
         if not 0.0 < v < 1.0:
             raise DomainError(f"g takes values in (0, 1); cannot invert at {v}")
@@ -371,8 +368,7 @@ class GFunction:
             )
             v = clamped
         lo, hi = self._bracket(v)
-        tol = tol or numerics.Tolerance(abs_tol=1e-14, rel_tol=1e-13)
-        return numerics.find_root(lambda s: self.g_eval(s) - v, lo, hi, tol)
+        return numerics.find_root(lambda s: self.g_eval(s) - v, lo, hi, xtol=1e-14, rtol=1e-13)
 
     def _ensure_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(s grid, g on it); g is NaN at fine points not yet evaluated."""
@@ -465,22 +461,15 @@ class GFunction:
             i = int(np.argmax(table[:, 1]))
             lo = table[max(i - 1, 0), 0]
             hi = table[min(i + 1, len(table) - 1), 0]
-            x, fx = numerics.maximize_unimodal(
-                self.phi_eval, lo, hi, numerics.Tolerance(abs_tol=1e-12)
-            )
-            self._peak = (x, fx)
+            self._peak = numerics.maximize_unimodal(self.phi_eval, lo, hi, xtol=1e-12)
         return self._peak
 
-    @property
-    def phi_unimodal_verified(self) -> bool:
-        return self.check_phi_unimodal().ok
-
-    def check_phi_unimodal(self, n: int = 2048) -> UnimodalityCheck:
+    def check_phi_unimodal(self) -> UnimodalityCheck:
         """Scan phi on a log grid and verify a single rise-then-fall profile."""
-        if self._unimodal is not None and len(self._unimodal.table) == n:
+        if self._unimodal is not None:
             return self._unimodal
         k = self.rho.k
-        s_grid = np.logspace(math.log10(1e-3 * k), math.log10(1e3 * k), n)
+        s_grid = np.logspace(math.log10(1e-3 * k), math.log10(1e3 * k), _UNIMODAL_POINTS)
         vals = self._scan(self._phi_at, s_grid)
         diffs = np.diff(vals)
         i_max = int(np.argmax(vals))
@@ -494,18 +483,18 @@ class GFunction:
                 np.concatenate((diffs[:i_max] < -slack, diffs[i_max:] > slack))
             )[0]
             violation = float(s_grid[bad[0]])
-        result = UnimodalityCheck(ok=ok, violation_s=violation, table=np.column_stack((s_grid, vals)))
-        if n == 2048:
-            self._unimodal = result
-        return result
+        self._unimodal = UnimodalityCheck(
+            ok=ok, violation_s=violation, table=np.column_stack((s_grid, vals))
+        )
+        return self._unimodal
 
-    def check_g_convex(self, lo: float | None = None, hi: float | None = None, n: int = 400) -> bool:
+    def check_g_convex(self, lo: float | None = None, hi: float | None = None) -> bool:
         """Discrete convexity of g over [lo, hi] (default: [sigma_M/50, 4 sigma_M])."""
         if lo is None or hi is None:
             sigma_m, _ = self.peak()
             lo = lo if lo is not None else sigma_m / 50.0
             hi = hi if hi is not None else 4.0 * sigma_m
-        return _convex_values(self._scan(self._g_at, np.linspace(lo, hi, n)))
+        return _convex_values(self._scan(self._g_at, np.linspace(lo, hi, _CONVEX_POINTS)))
 
     def phi_table(self, s_grid) -> np.ndarray:
         """(s, phi(s)) rows over an explicit grid."""

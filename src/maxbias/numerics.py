@@ -8,43 +8,22 @@ safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from scipy import optimize as _optimize
 
 from .errors import BracketError, DomainError, NumericalError
 
-__all__ = ["Tolerance", "DEFAULT_TOL", "find_root", "maximize_unimodal"]
+__all__ = ["find_root", "maximize_unimodal"]
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Convergence targets for the kernels below.
-
-    abs_tol / rel_tol bound the estimated error; max_iter caps refinement.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise DomainError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if not self.rel_tol > 0:
-            raise DomainError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-DEFAULT_TOL = Tolerance()
+# Iteration cap of both kernels.
+_MAX_ITER = 200
 
 
 def find_root(
-    f: Callable[[float], float], lo: float, hi: float, tol: Tolerance = DEFAULT_TOL
+    f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-10, rtol: float = 1e-10
 ) -> float:
-    """Locate a root of f inside the sign-changing bracket [lo, hi].
+    """Locate a root of f inside the sign-changing bracket [lo, hi] to xtol + rtol |root|.
 
     Uses Brent's method, which never leaves the bracket (bisection fallback),
     so quadrature noise in f cannot make the iteration diverge.
@@ -65,9 +44,9 @@ def find_root(
         _known_ends(f, {lo: flo, hi: fhi}),
         lo,
         hi,
-        xtol=tol.abs_tol,
-        rtol=max(tol.rel_tol, 4 * math.ulp(1.0)),
-        maxiter=tol.max_iter,
+        xtol=xtol,
+        rtol=max(rtol, 4 * math.ulp(1.0)),
+        maxiter=_MAX_ITER,
         full_output=True,
     )
     if not res.converged:
@@ -91,9 +70,9 @@ def _known_ends(f: Callable[[float], float], known: dict) -> Callable[[float], f
 
 
 def maximize_unimodal(
-    f: Callable[[float], float], lo: float, hi: float, tol: Tolerance = DEFAULT_TOL
+    f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-10
 ) -> tuple[float, float]:
-    """Maximize a unimodal f on [lo, hi]; returns (argmax, max).
+    """Maximize a unimodal f on [lo, hi] to xtol in the argument; returns (argmax, max).
 
     A constant (plateau) objective is a legal degenerate input; some interior
     point is returned with the plateau value.
@@ -104,7 +83,7 @@ def maximize_unimodal(
         lambda x: -f(x),
         bounds=(lo, hi),
         method="bounded",
-        options={"xatol": tol.abs_tol, "maxiter": tol.max_iter},
+        options={"xatol": xtol, "maxiter": _MAX_ITER},
     )
     if not res.success:
         raise NumericalError(f"unimodal maximization on [{lo}, {hi}] failed: {res.message}")

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate as spi
 from scipy import special
 
+from maxbias import numerics
 from maxbias.curves import (
     BiasPoint,
     bias_curve,
@@ -24,8 +27,8 @@ from maxbias.curves import (
 )
 from maxbias.efficiency import error_law
 from maxbias.errors import DomainError
-from maxbias.gfunction import GFunction, gaussian_model
-from maxbias.rho import biweight, rho_eval
+from maxbias.gfunction import GFunction, cauchy_model, gaussian_model
+from maxbias.rho import alpha_quantile, biweight, rho_eval
 
 
 def bisect_scale_oracle(rho, b, eps, which, n_iter=80):
@@ -209,6 +212,21 @@ class TestCmMaxbias:
             s_maxbias(gf_biw1_gauss, 0.5, 0.02).lower - 1e-6
         )
 
+    def test_one_upper_stationary_solve_per_point(self, gf_biw1_gauss, monkeypatch):
+        args = (gf_biw1_gauss, 0.5, 3.5, 0.1)
+        expected = cm_maxbias(*args)  # warms the peak and the table cells
+        brackets = []
+        find_root = numerics.find_root
+
+        def counting(f, lo, hi, **tol):
+            brackets.append((lo, hi))
+            return find_root(f, lo, hi, **tol)
+
+        monkeypatch.setattr(numerics, "find_root", counting)
+        assert cm_maxbias(*args) == expected
+        # g^{-1} at sigma and at gamma, then the upper stationary scale once.
+        assert len(brackets) == 3
+
     def test_cauchy_form(self, gf_biw1_cauchy):
         eps, c = 0.15, 2.568
         sigma, gamma = scale_bounds(gf_biw1_cauchy, 0.5, eps)
@@ -218,6 +236,30 @@ class TestCmMaxbias:
         assert cm_maxbias(gf_biw1_cauchy, 0.5, c, eps).lower == pytest.approx(
             expected, rel=1e-12
         )
+
+
+class TestPointInputChecks:
+    """b and c are checked before the eps = 0 and beyond-breakdown points are filled in."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.6], ids=["zero", "interior", "beyond"])
+    @pytest.mark.parametrize("b", [-0.2, 1.0, 1.5])
+    @pytest.mark.parametrize("point", ["s", "cm", "mm"])
+    def test_quantile_outside_unit_interval_raises(
+        self, point, b, eps, gf_biw156_gauss, gf_biw468_gauss
+    ):
+        calls = {
+            "s": lambda: s_maxbias(gf_biw156_gauss, b, eps),
+            "cm": lambda: cm_maxbias(gf_biw156_gauss, b, 2.568, eps),
+            "mm": lambda: mm_bounds(gf_biw156_gauss, gf_biw468_gauss, b, eps),
+        }
+        with pytest.raises(DomainError, match="scale quantile b"):
+            calls[point]()
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.6], ids=["zero", "interior", "beyond"])
+    @pytest.mark.parametrize("c", [-1.0, 0.0])
+    def test_cm_nonpositive_tuning_raises(self, c, eps, gf_biw156_gauss):
+        with pytest.raises(DomainError, match="tuning constant"):
+            cm_maxbias(gf_biw156_gauss, 0.5, c, eps)
 
 
 class TestMmBounds:
@@ -342,3 +384,50 @@ class TestBiasGeometry:
     def test_law_without_geometry_raises(self, spec):
         with pytest.raises(DomainError):
             bias_curve(spec, error_law("T3"), [0.1, 0.2])
+
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None, derandomize=True)
+
+
+class TestCurveProperties:
+    """Monotone curves and the MM floor, over losses, quantiles and both models."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        kind=st.sampled_from(["s", "cm", "mm"]),
+        model=st.sampled_from([gaussian_model(), cauchy_model()]),
+        step=st.booleans(),
+        k=st.floats(0.8, 5.0),
+        ratio=st.floats(1.2, 4.0),
+        b=st.floats(0.1, 0.5),
+        c=st.floats(0.5, 6.0),
+        fracs=st.lists(st.floats(0.001, 0.999), min_size=2, max_size=8, unique=True),
+    )
+    def test_curves_are_monotone(self, kind, model, step, k, ratio, b, c, fracs):
+        rho = alpha_quantile(k) if step else biweight(k)
+        spec = {
+            "s": lambda: s_estimate(rho, b),
+            "cm": lambda: cm_estimate(rho, b, c),
+            "mm": lambda: mm_estimate(biweight(k), biweight(k * ratio), b),
+        }[kind]()
+        grid = sorted(f * breakdown_point(spec) for f in fracs)
+        assume(all(x < y for x, y in zip(grid, grid[1:])))
+        curve = bias_curve(spec, model, grid)
+        assert curve.monotone_violations == []
+        assert not any(p.flag and p.flag.startswith("numerical") for p in curve.points)
+
+    @PROPERTY_SETTINGS
+    @given(
+        model=st.sampled_from([gaussian_model(), cauchy_model()]),
+        k1=st.floats(0.8, 3.0),
+        ratio=st.floats(1.2, 4.0),
+        b=st.floats(0.1, 0.5),
+        frac=st.floats(0.001, 0.999),
+    )
+    def test_mm_lower_bound_at_least_s_bias(self, model, k1, ratio, b, frac):
+        gf1 = GFunction(biweight(k1), model)
+        gf2 = GFunction(biweight(k1 * ratio), model)
+        eps = frac * min(b, 1.0 - b)
+        point = mm_bounds(gf1, gf2, b, eps)
+        assume(point.flag is None)
+        assert point.lower >= s_maxbias(gf1, b, eps).lower - 1e-9

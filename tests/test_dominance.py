@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maxbias.curves import cm_maxbias, critical_pair, s_maxbias, scale_bounds, scale_objective
 from maxbias.dominance import (
@@ -23,6 +25,7 @@ from maxbias.dominance import (
 )
 from maxbias.efficiency import error_law
 from maxbias.errors import ConditionError, DomainError
+from maxbias.gfunction import GFunction, gaussian_model
 from maxbias.rho import alpha_quantile, biweight
 
 
@@ -293,3 +296,26 @@ class TestRatioCurve:
         _, cap = gf_biw1_gauss.peak()
         rc = cm_vs_s_ratio_curve(gf_biw1_gauss, 0.5, 0.9 / cap, np.arange(0.05, 0.5, 0.05))
         assert all(r == pytest.approx(1.0, abs=1e-9) for _, r in rc.rows)
+
+
+class TestDominanceProperties:
+    """Inside a Dominated report's interval (c_1, c_0], CM never has more bias than S."""
+
+    @settings(max_examples=15, deadline=None, database=None, derandomize=True)
+    @given(
+        step=st.booleans(),
+        k=st.floats(0.8, 5.0),
+        b=st.floats(0.41, 0.5),
+        points=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.001, 0.999)), min_size=1, max_size=6
+        ),
+    )
+    def test_cm_at_most_s_inside_dominance_interval(self, step, k, b, points):
+        gf = GFunction(alpha_quantile(k) if step else biweight(k), gaussian_model())
+        report = dominance_report(gf, b)
+        assume(report.verdict == DOMINATED)
+        c1, c0 = report.dominance_interval
+        for t, frac in points:
+            c, eps = c1 + t * (c0 - c1), frac * b
+            s_bias = s_maxbias(gf, b, eps).lower
+            assert cm_maxbias(gf, b, c, eps).lower <= s_bias * (1.0 + 1e-9) + 1e-12

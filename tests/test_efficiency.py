@@ -6,7 +6,7 @@ import pytest
 from scipy import optimize
 
 from maxbias.curves import cm_estimate, mm_estimate, objective_tail_inf, s_estimate
-from maxbias import curves
+from maxbias import curves, efficiency
 from maxbias.efficiency import (
     IQR_TARGET,
     LAW_NAMES,
@@ -252,6 +252,39 @@ class TestTune:
             tune("s")
         with pytest.raises(DomainError):
             tune("mm", b=0.5)
+
+    @pytest.mark.parametrize("b", [-0.2, 1.5])
+    @pytest.mark.parametrize("kind", ["s", "mm", "cm"])
+    def test_quantile_outside_unit_interval_raises(self, kind, b):
+        target = None if kind == "s" else 0.95
+        with pytest.raises(DomainError, match="scale quantile b"):
+            tune(kind, b=b, target_eff=target)
+
+
+class TestGFunctionBuilds:
+    """tune builds one GFunction for s and cm and none for mm."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+
+        class CountingGFunction(GFunction):
+            def __init__(self, rho, model):
+                built.append((rho, model))
+                super().__init__(rho, model)
+
+        for module in (curves, efficiency):
+            monkeypatch.setattr(module, "GFunction", CountingGFunction)
+        return built
+
+    def test_reference_estimators_build_three(self, built):
+        reference_estimators()
+        # tune("s", b=...), tune("cm", ...) and tune("s", k=...)
+        assert len(built) == 3
+
+    def test_mm_tuning_builds_none(self, built):
+        tune("mm", b=0.5, target_eff=0.95)
+        assert built == []
 
 
 class TestAvarTable:

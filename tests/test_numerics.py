@@ -5,7 +5,7 @@ import pytest
 from scipy import special
 
 from maxbias.errors import BracketError, DomainError
-from maxbias.numerics import Tolerance, find_root, maximize_unimodal
+from maxbias.numerics import find_root, maximize_unimodal
 
 
 def norm_pdf(x):
@@ -40,6 +40,10 @@ class TestFindRoot:
             root = find_root(f, -20.0, 20.0)
             assert abs(f(root)) <= 1e-8
 
+    def test_rejects_empty_bracket(self):
+        with pytest.raises(DomainError):
+            find_root(lambda x: x, 1.0, -1.0)
+
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0)
@@ -71,6 +75,10 @@ class TestMaximizeUnimodal:
         x, _ = maximize_unimodal(lambda x: 2.0 * x * norm_pdf(x), 1e-9, 10.0)
         assert x == pytest.approx(1.0, abs=1e-7)
 
+    def test_rejects_empty_interval(self):
+        with pytest.raises(DomainError):
+            maximize_unimodal(lambda x: -x * x, 2.0, 2.0)
+
     def test_constant_plateau(self):
         x, fx = maximize_unimodal(lambda x: 4.25, 0.0, 2.0)
         assert 0.0 <= x <= 2.0
@@ -89,13 +97,3 @@ class TestMaximizeUnimodal:
             best = grid[np.argmax([f(x) for x in grid])]
             x, _ = maximize_unimodal(f, -5.0, 5.0)
             assert abs(x - best) <= grid[1] - grid[0]
-
-
-class TestTolerance:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            Tolerance(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            Tolerance(rel_tol=-1.0)
-        with pytest.raises(DomainError):
-            Tolerance(max_iter=0)
