@@ -22,6 +22,7 @@ inversion does not exceed the lower one; that flag is carried per point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -100,8 +101,11 @@ class EstimatorSpec:
                 raise DomainError(f"a CM estimate needs a tuning constant c > 0, got {self.c}")
 
 
+@functools.lru_cache(maxsize=256)
 def _require_dominating_losses(rho1: RhoSpec, rho2: RhoSpec) -> None:
     # rho1 must dominate rho2 pointwise, strictly wherever not both saturated.
+    # Cached per pair (a pair that fails raises again): mm_bounds runs once
+    # per curve point.
     grid = np.linspace(1e-6, max(rho1.k, rho2.k), 1001)
     r1 = rho_eval(rho1, grid)
     r2 = rho_eval(rho2, grid)
@@ -314,8 +318,14 @@ def mm_bounds(gf1: GFunction, gf2: GFunction, b: float, eps: float) -> BiasPoint
     r = eps/(1-eps); the bracket is meaningful only under the applicability
     condition g2(gamma) - g2(sigma) < r, which also forces the lower end to
     sit above the bias of the preliminary S-estimate.  A violated condition
-    is reported as a flagged point carrying both sides.
+    is reported as a flagged point carrying both sides.  Both profiles must
+    be of one model, and rho1 must dominate rho2 (DomainError otherwise).
     """
+    if gf1.model != gf2.model:
+        raise DomainError(
+            f"MM profiles must share one model, got {gf1.model} and {gf2.model}"
+        )
+    _require_dominating_losses(gf1.rho, gf2.rho)
     gaussian = _is_gaussian(gf1.model)
     defined = _defined_point(b, eps, exact_beyond=False)
     if defined is not None:

@@ -83,11 +83,20 @@ _PROFILE_POINTS = 64
 
 def c_of_eps(gf: GFunction, b: float, eps: float) -> float:
     """c(eps) = log(sigma_{b,eps}/gamma_{b,eps}) / eps, the break-even tuning."""
+    return float(_c_values(gf, b, np.array([eps], dtype=float))[0])
+
+
+def _c_values(gf: GFunction, b: float, eps: np.ndarray) -> np.ndarray:
+    """c_of_eps over an array of eps in (0, min(b, 1-b)): one batched inversion
+    of sigma_{b,eps} = g^{-1}((b-eps)/(1-eps)) and gamma_{b,eps} = g^{-1}(b/(1-eps))."""
     bp = _breakdown(b)
-    if not 0.0 < eps < bp:
-        raise DomainError(f"eps must lie in (0, {bp:g}), got {eps}")
-    sigma, gamma = scale_bounds(gf, b, eps)
-    return math.log(sigma / gamma) / eps
+    outside = ~((eps > 0.0) & (eps < bp))
+    if outside.any():
+        raise DomainError(f"eps must lie in (0, {bp:g}), got {eps[outside][0]}")
+    scales = gf.g_inverse(np.concatenate(((b - eps) / (1.0 - eps), b / (1.0 - eps))))
+    sigma, gamma = np.split(scales, 2)
+    return np.log(sigma / gamma) / eps
+
 
 def c_zero_limit(gf: GFunction, b: float) -> float:
     """The eps -> 0 limit of c(eps): 1 / phi(g^{-1}(b))."""
@@ -108,9 +117,8 @@ def _profile_grid(bp: float, n: int) -> np.ndarray:
 def c_naught(gf: GFunction, b: float, n: int = 512) -> float:
     """inf of c(eps) over (0, min(b, 1-b)), refined grid plus the analytic limit."""
     bp = _breakdown(b)
-    grid = _profile_grid(bp, n)
-    values = [c_of_eps(gf, b, eps) for eps in grid]
-    return min(min(values), c_zero_limit(gf, b))
+    values = _c_values(gf, b, _profile_grid(bp, n))
+    return min(float(np.min(values)), c_zero_limit(gf, b))
 
 
 def c_one(gf: GFunction, b: float) -> float:
@@ -179,9 +187,7 @@ def dominance_report(gf: GFunction, b: float) -> DominanceReport:
     sigma_b0 = gf.g_inverse(b)
 
     profile_eps = _profile_grid(bp, _PROFILE_POINTS)
-    profile = np.column_stack(
-        (profile_eps, [c_of_eps(gf, b, e) for e in profile_eps])
-    )
+    profile = np.column_stack((profile_eps, _c_values(gf, b, profile_eps)))
     c0 = c_naught(gf, b)
     c0_lim = c_zero_limit(gf, b)
     lower_bound = (1.0 - b) / cap + b / gf.phi_eval(sigma_b0)

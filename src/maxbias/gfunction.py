@@ -35,16 +35,28 @@ factors of the rule do not depend on s, so g and phi at one scale are a
 scans (the bracketing table, the unimodality and convexity scans, phi
 tables) evaluate the (scales x nodes) density matrix in blocks of
 _SCAN_ROWS rows: a block stays cache-resident, and peak memory does not
-grow with the grid.  Scalar calls and scans share one formula.  The
-2048-point table that brackets g_inverse is filled coarse to fine: every
-32nd point when it is built, then the 31 points of a coarse cell the first
-time a query lands in it, so a GFunction inverted at one level evaluates
-96 of the 2048 points.  For the step loss the finite part vanishes and
-the closed forms
+grow with the grid.  Scalar calls and scans share one formula.  For the
+step loss the finite part vanishes and the closed forms
 
     g(s) = 2 (1 - F(k s)),    phi(s) = 2 k s f(k s)
 
 are used directly.
+
+Inversion.  In t = log s the profile has the exact derivative
+dg/dt = -phi(s), so g_inverse runs a safeguarded Newton iteration
+t <- t + (g(s) - v) / phi(s) (the rtsafe pattern of Numerical Recipes,
+section 9.4).  Each step is one density evaluation contracted with the rho
+and phi weights together.  The iteration starts at the log-midpoint of a
+bracket from a 2048-point table of g, keeps the bracket, bisects it
+whenever a step would leave it, would not halve the step before last, or
+phi vanishes, and stops once a step moves s by at most 1e-14 + 1e-13 s (or
+the bracket is that narrow).  An array of targets runs one vector
+iteration, in blocks of _SCAN_ROWS rows, over the targets not yet
+converged.  The table is filled coarse to fine: every 32nd point when it
+is built, then the 31 points of a coarse cell the first time a query lands
+in it (each cell by its own scan, so its values do not depend on the
+query that filled it); a GFunction inverted at one level evaluates 96 of
+the 2048 points.
 """
 
 from __future__ import annotations
@@ -87,6 +99,13 @@ _TABLE_RANGE = (1e-4, 1e4)
 # search of the whole table would.
 _TABLE_STRIDE = 32
 _COARSE = np.append(np.arange(0, _TABLE_SIZE - 1, _TABLE_STRIDE), _TABLE_SIZE - 1)
+
+# g_inverse stops once a step moves s by at most _XTOL + _RTOL s (or the
+# bracket is that narrow); it and the bracket expansions take at most
+# _MAX_STEPS steps.
+_XTOL = 1e-14
+_RTOL = 1e-13
+_MAX_STEPS = 200
 
 # Points of the phi unimodality scan (log grid over [1e-3 k, 1e3 k]) and of
 # the g convexity scan (uniform grid).
@@ -296,6 +315,25 @@ class UnimodalityCheck:
     table: np.ndarray  # shape (n, 2): columns s, phi(s)
 
 
+def _targets(v: np.ndarray) -> np.ndarray:
+    """Inversion targets checked to lie in (0, 1) and clamped to the floor."""
+    if v.ndim != 1:
+        raise DomainError(f"g_inverse takes a float or a 1-D array, got shape {v.shape}")
+    bad = ~((v > 0.0) & (v < 1.0))
+    if bad.any():
+        raise DomainError(f"g takes values in (0, 1); cannot invert at {v[bad][0]}")
+    clamped = np.clip(v, GINV_FLOOR, 1.0 - GINV_FLOOR)
+    moved = np.flatnonzero(clamped != v)
+    if moved.size:
+        warnings.warn(
+            f"g_inverse query {v[moved[0]]:.3e} clamped to {clamped[moved[0]]:.3e} "
+            f"({moved.size} of {v.size} queries); the scale diverges at the ends of (0, 1)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return clamped
+
+
 def _convex_values(vals: np.ndarray) -> bool:
     """Whether the second differences of vals on a uniform grid are >= -1e-8."""
     second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
@@ -328,6 +366,7 @@ class GFunction:
         # of s, so the finite integrand is precomputed once.
         self._wrho = _UW * rho_eval(rho, rho.k * _UX)
         self._wphi = _UW * 6.0 * _UX**2 * (1.0 - _UX**2) ** 2
+        self._wgphi = np.column_stack((self._wrho, self._wphi))
         self._table: tuple[np.ndarray, np.ndarray] | None = None
         self._peak: tuple[float, float] | None = None
         self._unimodal: UnimodalityCheck | None = None
@@ -354,21 +393,91 @@ class GFunction:
             finite = edge * np.dot(vals, _UW)
         return 2.0 * finite + 2.0 * self.model.sf(a)
 
-    def g_inverse(self, v: float) -> float:
-        """The scale s with g(s) = v, for v in (0, 1); unique by monotonicity."""
-        if not 0.0 < v < 1.0:
-            raise DomainError(f"g takes values in (0, 1); cannot invert at {v}")
-        if v < GINV_FLOOR or v > 1.0 - GINV_FLOOR:
-            clamped = min(max(v, GINV_FLOOR), 1.0 - GINV_FLOOR)
-            warnings.warn(
-                f"g_inverse query {v:.3e} clamped to {clamped:.3e}; "
-                "the scale diverges at the ends of (0, 1)",
-                RuntimeWarning,
-                stacklevel=2,
+    def g_inverse(self, v):
+        """The scale s with g(s) = v, for v in (0, 1); unique by monotonicity.
+
+        v is a float (the result is a float) or a 1-D array of targets (the
+        result is an array of scales, from one vector iteration).
+        """
+        if isinstance(v, np.ndarray):
+            targets = _targets(v)
+            return self._newton_array(targets, *self._brackets(targets))
+        if not GINV_FLOOR <= v <= 1.0 - GINV_FLOOR:
+            v = float(_targets(np.array([v], dtype=float))[0])
+        return self._newton_float(v, *self._bracket(v))
+
+    def _g_phi_at(self, a, inside: bool):
+        """(g, phi) at a = k s from one density evaluation; a is a float, or a
+        1-D array wholly on one side of the edge."""
+        if inside and self.rho.family != ALPHA_QUANTILE:
+            finite = self.model.pdf(_column(a) * _UX) @ self._wgphi
+            return (
+                2.0 * a * finite[..., 0] + 2.0 * self.model.sf(a),
+                2.0 * a * finite[..., 1],
             )
-            v = clamped
-        lo, hi = self._bracket(v)
-        return numerics.find_root(lambda s: self.g_eval(s) - v, lo, hi, xtol=1e-14, rtol=1e-13)
+        return self._g_at(a, inside), self._phi_at(a, inside)
+
+    def _newton_float(self, v: float, lo: float, hi: float) -> float:
+        """Safeguarded Newton in log s for one target inside the bracket [lo, hi]."""
+        k, edge = self.rho.k, self.model.support
+        s = math.sqrt(lo * hi)
+        step = prev = math.log(hi / lo)  # sizes of the last two steps in log s
+        for _ in range(_MAX_STEPS):
+            g, phi = self._g_phi_at(k * s, k * s <= edge)
+            r = float(g - v)
+            if r > 0.0:
+                lo = s
+            elif r < 0.0:
+                hi = s
+            t = math.log(s)
+            # Newton when its step r/phi stays inside the bracket and is under
+            # half the step before last (so rounding noise in g cannot stall
+            # it); in product form, which cannot overflow.
+            if (
+                phi * (math.log(lo) - t) <= r <= phi * (math.log(hi) - t)
+                and 2.0 * abs(r) <= prev * phi
+            ):
+                dt = r / phi if r else 0.0
+                prev, step = step, abs(dt)
+                new = min(max(s * math.exp(dt), lo), hi)
+            else:
+                prev, step = step, 0.5 * math.log(hi / lo)
+                new = math.sqrt(lo * hi)
+            if abs(new - s) <= _XTOL + _RTOL * new or hi - lo <= _XTOL + _RTOL * lo:
+                return float(new)
+            s = new
+        raise NumericalError(f"g_inverse did not converge at g = {v} in {_MAX_STEPS} steps")
+
+    def _newton_array(self, v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """_newton_float for every target at once; converged targets leave the pass."""
+        out = np.empty_like(v)
+        active = np.arange(v.size)
+        s = np.sqrt(lo * hi)
+        step = prev = np.log(hi / lo)
+        for _ in range(_MAX_STEPS):
+            g, phi = self._scan(self._g_phi_at, s, (2,))
+            r = g - v
+            lo = np.where(r > 0.0, s, lo)
+            hi = np.where(r < 0.0, s, hi)
+            t = np.log(s)
+            newton = (
+                (phi * (np.log(lo) - t) <= r)
+                & (r <= phi * (np.log(hi) - t))
+                & (2.0 * np.abs(r) <= prev * phi)
+            )
+            newton_step = np.divide(r, phi, out=np.zeros_like(r), where=newton & (r != 0.0))
+            prev, step = step, np.where(newton, np.abs(newton_step), 0.5 * np.log(hi / lo))
+            new = np.where(newton, np.clip(s * np.exp(newton_step), lo, hi), np.sqrt(lo * hi))
+            done = (np.abs(new - s) <= _XTOL + _RTOL * new) | (hi - lo <= _XTOL + _RTOL * lo)
+            out[active[done]] = new[done]
+            if done.all():
+                return out
+            keep = ~done
+            active, v, lo, hi, s = active[keep], v[keep], lo[keep], hi[keep], new[keep]
+            step, prev = step[keep], prev[keep]
+        raise NumericalError(
+            f"g_inverse did not converge for {active.size} targets in {_MAX_STEPS} steps"
+        )
 
     def _ensure_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(s grid, g on it); g is NaN at fine points not yet evaluated."""
@@ -382,32 +491,63 @@ class GFunction:
         return self._table
 
     def _bracket(self, v: float) -> tuple[float, float]:
+        """Adjacent table scales (or an expansion beyond the table) with g >= v > g."""
         s_grid, g_vals = self._ensure_table()
-        # g decreasing: reverse for searchsorted.
-        idx = np.searchsorted(g_vals[_COARSE][::-1], v)
         n = len(_COARSE)
-        if 0 < idx < n:
-            # v lies in the coarse cell [lo, hi]: g >= v at lo, g < v at hi.
-            lo, hi = _COARSE[n - idx - 1], _COARSE[n - idx]
-            if np.isnan(g_vals[lo + 1]):  # cell not evaluated yet
-                g_vals[lo + 1 : hi] = self._scan(self._g_at, s_grid[lo + 1 : hi])
-            cell = g_vals[lo : hi + 1]
-            # first grid point with g < v sits at j, g >= v at j-1
-            j = lo + len(cell) - np.searchsorted(cell[::-1], v)
-            return s_grid[j - 1], s_grid[j]
-        if idx == 0:
-            # v below the smallest tabulated g: expand upward.
+        # g decreasing: reverse for searchsorted; v lies in coarse cell
+        # [_COARSE[i], _COARSE[i + 1]] with g >= v at its start, g < v at its end.
+        idx = np.searchsorted(g_vals[_COARSE][::-1], v)
+        if not 0 < idx < n:
+            return self._expand(v, below=idx == 0)
+        i = n - idx - 1
+        self._fill_cell(i)
+        lo = _COARSE[i]
+        cell = g_vals[lo : _COARSE[i + 1] + 1]
+        # first grid point with g < v sits at j, g >= v at j-1
+        j = lo + len(cell) - np.searchsorted(cell[::-1], v)
+        return s_grid[j - 1], s_grid[j]
+
+    def _brackets(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_bracket for every target: one coarse search, one scan per new cell."""
+        s_grid, g_vals = self._ensure_table()
+        n = len(_COARSE)
+        idx = np.searchsorted(g_vals[_COARSE][::-1], v)
+        inner = (0 < idx) & (idx < n)
+        cell = n - idx[inner] - 1
+        for i in np.unique(cell):
+            self._fill_cell(i)
+        first, last = _COARSE[cell], _COARSE[cell + 1]
+        points = np.minimum(first[:, None] + np.arange(_TABLE_STRIDE + 1), last[:, None])
+        j = first + np.count_nonzero(g_vals[points] >= v[inner, None], axis=1)
+        lo = np.empty_like(v)
+        hi = np.empty_like(v)
+        lo[inner], hi[inner] = s_grid[j - 1], s_grid[j]
+        for i in np.flatnonzero(~inner):
+            lo[i], hi[i] = self._expand(float(v[i]), below=idx[i] == 0)
+        return lo, hi
+
+    def _fill_cell(self, i: int) -> None:
+        """Evaluate the fine points of coarse cell i, by a scan of their own."""
+        s_grid, g_vals = self._table
+        lo, hi = _COARSE[i], _COARSE[i + 1]
+        if np.isnan(g_vals[lo + 1]):
+            g_vals[lo + 1 : hi] = self._scan(self._g_at, s_grid[lo + 1 : hi])
+
+    def _expand(self, v: float, below: bool) -> tuple[float, float]:
+        """Bracket a target beyond the table by doubling (below: v under the
+        smallest tabulated g) or halving from its end scale."""
+        s_grid = self._table[0]
+        if below:
             lo = s_grid[-1]
             hi = 2.0 * lo
-            for _ in range(200):
+            for _ in range(_MAX_STEPS):
                 if self.g_eval(hi) < v:
                     return lo, hi
                 lo, hi = hi, 2.0 * hi
             raise NumericalError(f"could not bracket g = {v} above s = {s_grid[-1]:g}")
-        # v above the largest tabulated g: expand downward.
         hi = s_grid[0]
         lo = 0.5 * hi
-        for _ in range(200):
+        for _ in range(_MAX_STEPS):
             if self.g_eval(lo) > v:
                 return lo, hi
             lo, hi = 0.5 * lo, lo
@@ -434,18 +574,22 @@ class GFunction:
         vals = 6.0 * v**2 * (1.0 - v**2) ** 2 * self.model.pdf(z)
         return 2.0 * edge * np.dot(vals, _UW)
 
-    def _scan(self, kernel, s_grid: np.ndarray) -> np.ndarray:
-        """Apply _g_at or _phi_at over a grid of scales, _SCAN_ROWS rows at a time."""
+    def _scan(self, kernel, s_grid: np.ndarray, shape: tuple = ()) -> np.ndarray:
+        """Apply a kernel over a grid of scales, _SCAN_ROWS rows at a time.
+
+        ``shape`` is the leading shape of the result: () for _g_at and
+        _phi_at, (2,) for _g_phi_at, whose two rows are g and phi.
+        """
         if np.any(s_grid <= 0):
             raise DomainError("scan grid must be strictly positive")
         a = self.rho.k * s_grid
-        out = np.empty_like(a)
+        out = np.empty(shape + a.shape)
         inside = a <= self.model.support
         for side in (True, False):
             idx = np.flatnonzero(inside == side)
             for start in range(0, idx.size, _SCAN_ROWS):
                 rows = idx[start : start + _SCAN_ROWS]
-                out[rows] = kernel(a[rows], side)
+                out[..., rows] = kernel(a[rows], side)
         return out
 
     def peak(self) -> tuple[float, float]:

@@ -224,8 +224,9 @@ class TestCmMaxbias:
 
         monkeypatch.setattr(numerics, "find_root", counting)
         assert cm_maxbias(*args) == expected
-        # g^{-1} at sigma and at gamma, then the upper stationary scale once.
-        assert len(brackets) == 3
+        # The upper stationary scale, once; g^{-1} at sigma and at gamma runs
+        # its own Newton iteration, not find_root.
+        assert len(brackets) == 1
 
     def test_cauchy_form(self, gf_biw1_cauchy):
         eps, c = 0.15, 2.568
@@ -295,6 +296,21 @@ class TestMmBounds:
         assert "mm-condition-violated" in point.flag
         assert ">=" in point.flag
         assert math.isnan(point.lower)
+
+    def test_rejects_profiles_of_two_models(self, gauss):
+        # Unchecked, this pair gave an unflagged 1.2062 (1.2465 with the
+        # Gaussian second loss).
+        gf1 = GFunction(biweight(1.5476), gauss)
+        gf2 = GFunction(biweight(4.685), cauchy_model())
+        with pytest.raises(DomainError, match="one model"):
+            mm_bounds(gf1, gf2, 0.5, 0.1)
+
+    def test_rejects_nondominating_losses(self, gauss):
+        # Unchecked, the swapped Gaussian losses gave an unflagged [1.903, 3.183].
+        gf1 = GFunction(biweight(1.5476), gauss)
+        gf2 = GFunction(biweight(4.685), gauss)
+        with pytest.raises(DomainError, match="rho1 >= rho2"):
+            mm_bounds(gf2, gf1, 0.5, 0.1)
 
 
 class TestBiasCurve:

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from maxbias import numerics
 from maxbias.curves import cm_maxbias, critical_pair, s_maxbias, scale_bounds, scale_objective
 from maxbias.dominance import (
     DOMINATED,
     INAPPLICABLE,
+    _c_values,
+    _profile_grid,
     c_naught,
     c_of_eps,
     c_one,
@@ -82,6 +85,41 @@ class TestCNaught:
         coarse = c_naught(gf_biw1_gauss, 0.5, n=512)
         fine = c_naught(gf_biw1_gauss, 0.5, n=1024)
         assert abs(fine - coarse) < 1e-6
+
+    @pytest.mark.parametrize("rho, b", [(biweight(1.0), 0.5), (alpha_quantile(), 0.4)])
+    def test_batched_values_match_pointwise(self, rho, b):
+        # Away from eps -> 0, where c(eps) divides the rounding of g by eps.
+        gf = GFunction(rho, gaussian_model())
+        eps = _profile_grid(min(b, 1.0 - b), 64)
+        eps = eps[eps > 1e-6]
+        pointwise = []
+        for e in eps:
+            sigma, gamma = scale_bounds(gf, b, e)
+            pointwise.append(math.log(sigma / gamma) / e)
+        np.testing.assert_allclose(_c_values(gf, b, eps), pointwise, rtol=1e-8)
+        with pytest.raises(DomainError):
+            _c_values(gf, b, np.array([0.1, min(b, 1.0 - b)]))
+
+    def test_warm_infimum_is_a_few_vector_passes(self, monkeypatch):
+        gf = GFunction(biweight(1.0), gaussian_model())
+        expected = c_naught(gf, 0.5)  # fills the table cells the targets need
+        roots, passes = [], []
+        find_root, scan = numerics.find_root, gf._scan
+
+        def counting_root(*args, **kwargs):
+            roots.append(args)
+            return find_root(*args, **kwargs)
+
+        def counting_scan(*args):
+            passes.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(numerics, "find_root", counting_root)
+        monkeypatch.setattr(gf, "_scan", counting_scan)
+        assert c_naught(gf, 0.5) == expected
+        # 1024 targets in one Newton iteration: one kernel pass per step.
+        assert not roots
+        assert 0 < len(passes) <= 12
 
 
 class TestCOne:

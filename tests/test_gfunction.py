@@ -10,7 +10,8 @@ from scipy import integrate as spi
 from scipy import special
 
 from maxbias.efficiency import LAW_NAMES, error_law
-from maxbias.errors import DomainError
+from maxbias.errors import DomainError, NumericalError
+from maxbias import numerics
 from maxbias.gfunction import (
     _COARSE,
     _TABLE_STRIDE,
@@ -41,6 +42,19 @@ def quad_g_oracle(gf, s):
         limit=300,
     )
     return 2.0 * body + 2.0 * float(gf.model.sf(np.asarray(a, dtype=float)))
+
+
+# Every registry law at scale 1 and at its IQR-matching scale.
+PROPERTY_MODELS = [Model(name) for name in LAWS] + [error_law(name) for name in LAW_NAMES]
+PROPERTY_RHOS = [biweight(1.5476), biweight(4.685), alpha_quantile()]
+_property_gfs: dict = {}
+
+
+def _property_gf(model, rho):
+    key = (model, rho)
+    if key not in _property_gfs:
+        _property_gfs[key] = GFunction(rho, model)
+    return _property_gfs[key]
 
 
 class TestGEval:
@@ -120,6 +134,85 @@ class TestGInverse:
         with pytest.warns(RuntimeWarning):
             s = gf_biw1_gauss.g_inverse(1e-13)
         assert s > 1e3
+
+    def test_array_domain_and_clamping(self, gf_biw1_gauss):
+        for bad in (0.0, 1.0, -0.5, math.nan):
+            with pytest.raises(DomainError):
+                gf_biw1_gauss.g_inverse(np.array([0.3, bad, 0.6]))
+        for shape in ((), (2, 2)):
+            with pytest.raises(DomainError):
+                gf_biw1_gauss.g_inverse(np.full(shape, 0.5))
+        with pytest.warns(RuntimeWarning) as caught:
+            s = gf_biw1_gauss.g_inverse(np.array([1e-13, 0.5, 1e-14, 1.0 - 1e-14]))
+        assert len(caught) == 1  # one warning per call
+        assert s[0] == s[2] > 1e3 and s[-1] < 1e-3
+        assert s[1] == pytest.approx(gf_biw1_gauss.g_inverse(0.5), rel=1e-14)
+        assert type(gf_biw1_gauss.g_inverse(np.float64(0.5))) is float
+
+    def test_float_and_array_agree(self):
+        # Relative agreement where g has no rounding plateau (phi not tiny).
+        v = np.linspace(0.05, 0.95, 91)
+        for model in PROPERTY_MODELS:
+            for rho in PROPERTY_RHOS:
+                gf = _property_gf(model, rho)
+                floats = np.array([gf.g_inverse(float(x)) for x in v])
+                assert np.max(np.abs(gf.g_inverse(v) - floats) / floats) <= 1e-14
+
+    def test_no_brent_solve(self, gf_biw156_gauss, monkeypatch):
+        gf_biw156_gauss.g_inverse(0.4)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("g_inverse called find_root")
+
+        monkeypatch.setattr(numerics, "find_root", forbidden)
+        gf_biw156_gauss.g_inverse(0.41)
+        gf_biw156_gauss.g_inverse(np.array([0.2, 0.41, 0.7]))
+
+    def test_at_least_as_accurate_as_brent(self):
+        # Error estimate |g(s) - v| / phi(s) of a root in log s, against
+        # Brent's method on g to the tolerance g_inverse used before.  Not
+        # SL, whose g carries rounding noise near s -> 0 that bounds both, nor
+        # UNIF, where the step loss makes g linear and Brent's secant exact.
+        v = np.linspace(0.01, 0.99, 400)
+        for model in (gaussian_model(), cauchy_model(), Model("T3"), Model("DE"), Model("CN")):
+            for rho in PROPERTY_RHOS:
+                gf = _property_gf(model, rho)
+
+                def error(s, target):
+                    return abs(gf.g_eval(s) - target) / gf.phi_eval(s)
+
+                newton = max(error(s, x) for s, x in zip(gf.g_inverse(v), v))
+                brent = max(
+                    error(
+                        numerics.find_root(
+                            lambda s: gf.g_eval(s) - x, *gf._bracket(x), xtol=1e-14, rtol=1e-13
+                        ),
+                        x,
+                    )
+                    for x in v
+                )
+                assert newton <= brent
+
+    def test_step_loss_beyond_uniform_support_bisects(self):
+        # phi = 0 where k s > 1: a Newton step from there is undefined.
+        gf = GFunction(alpha_quantile(), Model("UNIF"))
+        lo, hi = 0.5, 4.0
+        assert gf.phi_eval(math.sqrt(lo * hi)) == 0.0
+        for v in (0.25, 0.5, 0.9, 1e-3):
+            # g(s) = 1 - s on the support.
+            assert gf._newton_float(v, lo / 100, hi) == pytest.approx(1.0 - v, rel=1e-13)
+        v = np.array([0.25, 1e-3, 0.5])
+        s = gf._newton_array(v, np.full(3, lo / 100), np.full(3, hi))
+        np.testing.assert_allclose(s, 1.0 - v, rtol=1e-13)
+        np.testing.assert_allclose(gf.g_inverse(v), 1.0 - v, rtol=1e-13)
+
+    def test_nonconvergence_raises(self, gf_biw1_gauss, monkeypatch):
+        monkeypatch.setattr("maxbias.gfunction._MAX_STEPS", 1)
+        lo, hi = gf_biw1_gauss._bracket(0.5)
+        with pytest.raises(NumericalError):
+            gf_biw1_gauss._newton_float(0.5, lo, hi)
+        with pytest.raises(NumericalError):
+            gf_biw1_gauss._newton_array(np.array([0.5]), np.array([lo]), np.array([hi]))
 
 
 class TestPhi:
@@ -261,6 +354,31 @@ class TestBracketTable:
             j = len(s_grid) - idx
             assert gf._bracket(v) == (s_grid[j - 1], s_grid[j])
 
+    @pytest.mark.parametrize("rho", PROPERTY_RHOS, ids=lambda r: f"{r.family}-{r.k:g}")
+    def test_array_filled_cells_equal_scalar_filled(self, rho):
+        # A cell is scanned on its own, whichever queries land in it first.
+        v = np.concatenate((np.linspace(0.02, 0.98, 97), [1e-9, 1.0 - 1e-9]))
+        tables = []
+        for fill in ("array", "scalar", "halves"):
+            gf = GFunction(rho, gaussian_model())
+            if fill == "array":
+                gf.g_inverse(v)
+            elif fill == "scalar":
+                for x in v:
+                    gf.g_inverse(float(x))
+            else:
+                gf.g_inverse(v[1::2])
+                gf.g_inverse(v[::2])
+            tables.append(gf._table[1])
+        assert np.isnan(tables[0]).any()  # cells no query needed stay empty
+        for table in tables[1:]:
+            assert np.array_equal(table, tables[0], equal_nan=True)
+
+    def test_array_brackets_match_scalar(self, gf_biw468_gauss):
+        v = np.concatenate((np.linspace(0.01, 0.99, 50), [1e-10, 1.0 - 1e-10]))
+        lo, hi = gf_biw468_gauss._brackets(v)
+        assert [gf_biw468_gauss._bracket(float(x)) for x in v] == list(zip(lo, hi))
+
     def test_one_inversion_fills_one_cell(self, gf_biw1_gauss):
         gf = GFunction(gf_biw1_gauss.rho, gf_biw1_gauss.model)
         gf.g_inverse(0.5)
@@ -313,18 +431,6 @@ class TestModelRegistry:
             assert cauchy_model().sf(s) == 0.5 - np.arctan(s) / math.pi
 
 
-PROPERTY_MODELS = [Model(name) for name in LAWS] + [error_law(name) for name in LAW_NAMES]
-PROPERTY_RHOS = [biweight(1.5476), biweight(4.685), alpha_quantile()]
-_property_gfs: dict = {}
-
-
-def _property_gf(model, rho):
-    key = (model, rho)
-    if key not in _property_gfs:
-        _property_gfs[key] = GFunction(rho, model)
-    return _property_gfs[key]
-
-
 class TestGProperties:
     """Over every registry law and both scales: g inverts and decreases."""
 
@@ -339,6 +445,21 @@ class TestGProperties:
         v = gf.g_eval(10.0**log_s)
         assume(GINV_FLOOR < v < 1.0 - GINV_FLOOR)
         assert abs(gf.g_eval(gf.g_inverse(v)) - v) <= 1e-12
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        model=st.sampled_from(PROPERTY_MODELS),
+        rho=st.sampled_from(PROPERTY_RHOS),
+        log_s=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40),
+    )
+    def test_round_trip_of_target_arrays(self, model, rho, log_s):
+        gf = _property_gf(model, rho)
+        v = gf._scan(gf._g_at, 10.0 ** np.array(log_s))
+        v = v[(GINV_FLOOR < v) & (v < 1.0 - GINV_FLOOR)]
+        assume(v.size)
+        s = gf.g_inverse(v)
+        assert s.shape == v.shape
+        assert max(abs(gf.g_eval(x) - y) for x, y in zip(s, v)) <= 1e-12
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(
