@@ -10,6 +10,7 @@ breakdown domain.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -217,10 +218,15 @@ _RUNNERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main call (not at import) and then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _RUNNERS[args.command](args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

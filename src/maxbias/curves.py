@@ -18,6 +18,19 @@ of the penalized objective
 and the MM-estimate is bracketed between two inversions of the second-loss
 profile g2.  The MM bracket collapses to an exact value whenever the upper
 inversion does not exceed the lower one; that flag is carried per point.
+
+Computation.  A curve is one array pass over the interior of its eps grid
+(0 < eps < min(b, 1-b)); eps = 0 and eps beyond breakdown are filled in
+from the definition.  The extreme scales of every eps come from one array
+inversion of g (2n targets).  MM then evaluates g2 at all of them in one
+scan and inverts g2 at both bracket ends of every point in one more call;
+CM evaluates the objective at all of them in one scan of g and solves,
+per eps, the one upper stationary scale that both half-line infima share.
+A target that fails to bracket or converge fails only its own point.
+``s_maxbias``, ``cm_maxbias`` and ``mm_bounds`` are the one-eps case of the
+same kernels, and raise the error that ``bias_curve`` turns into a
+``numerical-failure`` flag.  ``scale_bounds`` is the float inversion of one
+eps, for callers that need the two scales themselves.
 """
 
 from __future__ import annotations
@@ -25,13 +38,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import numerics
 from ._io import write_rows
-from .errors import BracketError, DomainError, NumericalError
+from .errors import BracketError, DomainError, MaxbiasError, NumericalError
 from .gfunction import GAUSSIAN, GFunction, Model
 from .rho import RhoSpec, rho_eval
 
@@ -176,6 +189,16 @@ def scale_bounds(gf: GFunction, b: float, eps: float) -> tuple[float, float]:
     return sigma, gamma
 
 
+def _extreme_scales(gf: GFunction, b: float, eps: np.ndarray) -> np.ndarray:
+    """sigma_{b,eps} for every interior eps, then gamma_{b,eps}, from one
+    inversion; NaN where it failed."""
+    return gf._invert(np.concatenate(((b - eps) / (1.0 - eps), b / (1.0 - eps))))
+
+
+def _unsolved(eps: float) -> NumericalError:
+    return NumericalError(f"g_inverse did not bracket or converge at eps = {eps}")
+
+
 def _is_gaussian(model: Model) -> bool:
     """Whether the bias geometry is GAUSSIAN (else CAUCHY); raises without one."""
     if model.geometry is None:
@@ -183,34 +206,66 @@ def _is_gaussian(model: Model) -> bool:
     return model.geometry == GAUSSIAN
 
 
-def _ratio_to_bias(ratio: float, gaussian: bool) -> float:
+def _ratio_to_bias(ratio: np.ndarray, gaussian: bool) -> np.ndarray:
     if gaussian:
-        return math.sqrt(max(ratio * ratio - 1.0, 0.0))
+        return np.sqrt(np.maximum(ratio * ratio - 1.0, 0.0))
     return ratio - 1.0
 
 
-def _defined_point(b: float, eps: float, exact_beyond: bool = True) -> BiasPoint | None:
-    """The point at eps = 0 (zero bias) or beyond breakdown (infinite bias), else None.
+# A point of a sweep, or the error that stopped its computation.
+_Result = BiasPoint | MaxbiasError
 
-    b is checked first, so a point is never returned for b outside (0, 1).
-    """
+
+def _sweep(
+    b: float, grid: Sequence[float], kernel: Callable[[np.ndarray], list[_Result]],
+    exact_beyond: bool = True,
+) -> list[_Result]:
+    """Points over grid: zero bias at eps = 0, infinite bias from breakdown on,
+    and the interior eps in one call of kernel.  b is checked first."""
     bp = _breakdown(b)
+    eps = np.asarray(grid, dtype=float)
+    if not np.all(eps >= 0.0):
+        raise DomainError(f"eps must be nonnegative, got {eps[~(eps >= 0.0)][0]}")
+    inner = (eps > 0.0) & (eps < bp)
+    computed = iter(kernel(eps[inner]) if inner.any() else ())
+    return [
+        next(computed) if interior else _defined_point(e, exact_beyond)
+        for e, interior in zip(eps.tolist(), inner)
+    ]
+
+
+def _defined_point(eps: float, exact_beyond: bool) -> BiasPoint:
+    """The point at eps = 0 (zero bias) or from breakdown on (infinite bias)."""
     if eps == 0.0:
         return BiasPoint(eps, 0.0, 0.0, exact=True)
-    if eps >= bp:
-        return BiasPoint(eps, math.inf, math.inf, exact=exact_beyond, flag="beyond-breakdown")
-    return None
+    return BiasPoint(eps, math.inf, math.inf, exact=exact_beyond, flag="beyond-breakdown")
+
+
+def _one(results: list[_Result]) -> BiasPoint:
+    """The point of a one-eps sweep; its error is raised."""
+    (result,) = results
+    if isinstance(result, MaxbiasError):
+        raise result
+    return result
+
+
+def _s_sweep(gf: GFunction, b: float, grid: Sequence[float]) -> list[_Result]:
+    gaussian = _is_gaussian(gf.model)
+
+    def kernel(eps: np.ndarray) -> list[_Result]:
+        sigma, gamma = np.split(_extreme_scales(gf, b, eps), 2)
+        bias = _ratio_to_bias(sigma / gamma, gaussian)
+        return [
+            _unsolved(e) if math.isnan(x) else BiasPoint(e, x, x, exact=True)
+            for e, x in zip(eps.tolist(), bias.tolist())
+        ]
+
+    return _sweep(b, grid, kernel)
 
 
 def s_maxbias(gf: GFunction, b: float, eps: float) -> BiasPoint:
     """Maximum bias of the S-estimate at contamination eps (exact point)."""
-    gaussian = _is_gaussian(gf.model)
-    defined = _defined_point(b, eps)
-    if defined is not None:
-        return defined
-    sigma, gamma = scale_bounds(gf, b, eps)
-    value = _ratio_to_bias(sigma / gamma, gaussian)
-    return BiasPoint(eps, value, value, exact=True)
+    return _one(_s_sweep(gf, b, [eps]))
 
 
 def scale_objective(gf: GFunction, c: float, eps: float, s: float) -> float:
@@ -267,7 +322,9 @@ def objective_tail_inf(
     """
     if not lower > 0:
         raise DomainError(f"half-line start must be positive, got {lower}")
-    return _tail_inf(gf, c, eps, lower, _upper_stationary_scale(gf, c, eps))
+    sigma_u = _upper_stationary_scale(gf, c, eps)
+    at_upper = _objective_beyond(gf, c, eps, lower, sigma_u)
+    return _tail_inf(scale_objective(gf, c, eps, lower), lower, at_upper, sigma_u)
 
 
 def _upper_stationary_scale(gf: GFunction, c: float, eps: float) -> float | None:
@@ -276,17 +333,63 @@ def _upper_stationary_scale(gf: GFunction, c: float, eps: float) -> float | None
     return None if level is None else _stationary_scale(gf, *level, 2.0)
 
 
-def _tail_inf(
+def _objective_beyond(
     gf: GFunction, c: float, eps: float, lower: float, sigma_u: float | None
-) -> tuple[float, float]:
-    """objective_tail_inf with the upper stationary scale sigma_u already solved."""
-    at_lower = scale_objective(gf, c, eps, lower)
+) -> float | None:
+    """The objective at sigma_u if sigma_u lies above lower, else None."""
     if sigma_u is None or lower >= sigma_u:
-        return at_lower, lower
-    at_upper = scale_objective(gf, c, eps, sigma_u)
-    if at_lower <= at_upper:
+        return None
+    return scale_objective(gf, c, eps, sigma_u)
+
+
+def _tail_inf(
+    at_lower: float, lower: float, at_upper: float | None, sigma_u: float | None
+) -> tuple[float, float]:
+    """objective_tail_inf from the objective at lower and (None: not above
+    lower) at the upper stationary scale sigma_u."""
+    if at_upper is None or lower >= sigma_u or at_lower <= at_upper:
         return at_lower, lower
     return at_upper, sigma_u
+
+
+def _cm_sweep(gf: GFunction, b: float, c: float, grid: Sequence[float]) -> list[_Result]:
+    gaussian = _is_gaussian(gf.model)
+    _check_c(c)
+
+    def kernel(eps: np.ndarray) -> list[_Result]:
+        # The objective at both ends from one scan of g; then, per eps, the
+        # one upper stationary scale that both half-line infima share.
+        scales = _extreme_scales(gf, b, eps)
+        solved = ~np.isnan(scales)
+        weight = c * (1.0 - np.tile(eps, 2)[solved])
+        at = np.full_like(scales, np.nan)
+        at[solved] = weight * gf._scan(gf._g_at, scales[solved]) + np.log(scales[solved])
+        out: list[_Result] = []
+        for e, sigma, gamma, at_sigma, at_gamma in zip(
+            eps.tolist(), *np.split(scales, 2), *np.split(at, 2)
+        ):
+            if math.isnan(sigma) or math.isnan(gamma):
+                out.append(_unsolved(e))
+                continue
+            try:
+                sigma_u = _upper_stationary_scale(gf, c, e)
+            except (NumericalError, BracketError) as exc:
+                out.append(exc)
+                continue
+            # gamma < sigma: the objective at sigma_u serves both ends.
+            at_upper = _objective_beyond(gf, c, e, gamma, sigma_u)
+            gap = (
+                _tail_inf(at_sigma, sigma, at_upper, sigma_u)[0]
+                - _tail_inf(at_gamma, gamma, at_upper, sigma_u)[0]
+            )
+            if gaussian:
+                value = math.sqrt(max(math.expm1(2.0 * (c * e + gap)), 0.0))
+            else:
+                value = math.expm1(c * e + gap)
+            out.append(BiasPoint(e, value, value, exact=True))
+        return out
+
+    return _sweep(b, grid, kernel)
 
 
 def cm_maxbias(gf: GFunction, b: float, c: float, eps: float) -> BiasPoint:
@@ -294,21 +397,68 @@ def cm_maxbias(gf: GFunction, b: float, c: float, eps: float) -> BiasPoint:
 
     Both half-line infima share the one upper stationary scale of (c, eps).
     """
-    gaussian = _is_gaussian(gf.model)
-    _check_c(c)
-    defined = _defined_point(b, eps)
-    if defined is not None:
-        return defined
-    sigma, gamma = scale_bounds(gf, b, eps)
-    sigma_u = _upper_stationary_scale(gf, c, eps)
-    inf_from_sigma, _ = _tail_inf(gf, c, eps, sigma, sigma_u)
-    inf_from_gamma, _ = _tail_inf(gf, c, eps, gamma, sigma_u)
-    gap = inf_from_sigma - inf_from_gamma
-    if gaussian:
-        value = math.sqrt(max(math.expm1(2.0 * (c * eps + gap)), 0.0))
-    else:
-        value = math.expm1(c * eps + gap)
-    return BiasPoint(eps, value, value, exact=True)
+    return _one(_cm_sweep(gf, b, c, [eps]))
+
+
+def _mm_sweep(gf1: GFunction, gf2: GFunction, b: float, grid: Sequence[float]) -> list[_Result]:
+    if gf1.model != gf2.model:
+        raise DomainError(
+            f"MM profiles must share one model, got {gf1.model} and {gf2.model}"
+        )
+    _require_dominating_losses(gf1.rho, gf2.rho)
+    gaussian = _is_gaussian(gf1.model)
+
+    def kernel(eps: np.ndarray) -> list[_Result]:
+        r = eps / (1.0 - eps)
+        scales = _extreme_scales(gf1, b, eps)
+        sigma, gamma = np.split(scales, 2)
+        solved = ~(np.isnan(sigma) | np.isnan(gamma))
+        g2 = np.full_like(scales, np.nan)
+        both = np.tile(solved, 2)
+        g2[both] = gf2._scan(gf2._g_at, scales[both])
+        g2_sigma, g2_gamma = np.split(g2, 2)
+        gap = g2_gamma - g2_sigma
+        violated = solved & ~(gap < r)
+        unbounded = solved & ~violated & (g2_sigma + r >= 1.0)
+        bounded = solved & ~violated & ~unbounded
+        has_upper = bounded & (g2_gamma + r < 1.0)
+        # Both ends of the bracket invert g2 at an offset of r, in one call.
+        need = np.concatenate((bounded, has_upper))
+        ends = np.full_like(scales, np.nan)
+        if need.any():
+            ends[need] = gf2._invert(np.concatenate((g2_sigma + r, g2_gamma + r))[need])
+        lower_end, upper_end = np.split(ends, 2)
+        lower = _ratio_to_bias(sigma / lower_end, gaussian)
+        upper_raw = np.where(has_upper, _ratio_to_bias(gamma / upper_end, gaussian), math.inf)
+        s_bias = _ratio_to_bias(sigma / gamma, gaussian)
+        out: list[_Result] = []
+        for i, e in enumerate(eps.tolist()):
+            lo, up = float(lower[i]), float(upper_raw[i])
+            if not solved[i] or (bounded[i] and (math.isnan(lo) or math.isnan(up))):
+                out.append(_unsolved(e))
+            elif violated[i]:
+                out.append(BiasPoint(
+                    e,
+                    math.nan,
+                    math.nan,
+                    exact=False,
+                    flag=f"mm-condition-violated: g2(gamma)-g2(sigma)={gap[i]:.9g} "
+                    f">= eps/(1-eps)={r[i]:.9g}",
+                ))
+            elif unbounded[i]:
+                out.append(
+                    BiasPoint(e, math.inf, math.inf, exact=False, flag="mm-lower-unbounded")
+                )
+            elif lo < s_bias[i] - 1e-9:
+                out.append(NumericalError(
+                    f"MM lower bound {lo:.9g} fell below the S bias {s_bias[i]:.9g} "
+                    f"at eps={e}"
+                ))
+            else:
+                out.append(BiasPoint(e, lo, max(lo, up), exact=up <= lo))
+        return out
+
+    return _sweep(b, grid, kernel, exact_beyond=False)
 
 
 def mm_bounds(gf1: GFunction, gf2: GFunction, b: float, eps: float) -> BiasPoint:
@@ -321,54 +471,7 @@ def mm_bounds(gf1: GFunction, gf2: GFunction, b: float, eps: float) -> BiasPoint
     is reported as a flagged point carrying both sides.  Both profiles must
     be of one model, and rho1 must dominate rho2 (DomainError otherwise).
     """
-    if gf1.model != gf2.model:
-        raise DomainError(
-            f"MM profiles must share one model, got {gf1.model} and {gf2.model}"
-        )
-    _require_dominating_losses(gf1.rho, gf2.rho)
-    gaussian = _is_gaussian(gf1.model)
-    defined = _defined_point(b, eps, exact_beyond=False)
-    if defined is not None:
-        return defined
-    sigma, gamma = scale_bounds(gf1, b, eps)
-    r = eps / (1.0 - eps)
-    g2_sigma = gf2.g_eval(sigma)
-    g2_gamma = gf2.g_eval(gamma)
-    if not g2_gamma - g2_sigma < r:
-        return BiasPoint(
-            eps,
-            math.nan,
-            math.nan,
-            exact=False,
-            flag=f"mm-condition-violated: g2(gamma)-g2(sigma)={g2_gamma - g2_sigma:.9g} "
-            f">= eps/(1-eps)={r:.9g}",
-        )
-    if g2_sigma + r >= 1.0:
-        return BiasPoint(eps, math.inf, math.inf, exact=False, flag="mm-lower-unbounded")
-    lower = _ratio_to_bias(sigma / gf2.g_inverse(g2_sigma + r), gaussian)
-    if g2_gamma + r >= 1.0:
-        upper_raw = math.inf
-    else:
-        upper_raw = _ratio_to_bias(gamma / gf2.g_inverse(g2_gamma + r), gaussian)
-    s_bias = _ratio_to_bias(sigma / gamma, gaussian)
-    if lower < s_bias - 1e-9:
-        raise NumericalError(
-            f"MM lower bound {lower:.9g} fell below the S bias {s_bias:.9g} at eps={eps}"
-        )
-    return BiasPoint(
-        eps,
-        lower,
-        max(lower, upper_raw),
-        exact=bool(upper_raw <= lower),
-    )
-
-
-def _point_for(spec: EstimatorSpec, model: Model, eps: float, cache: dict) -> BiasPoint:
-    if spec.kind == S_KIND:
-        return s_maxbias(_gf(spec.rho, model, cache), spec.b, eps)
-    if spec.kind == CM_KIND:
-        return cm_maxbias(_gf(spec.rho, model, cache), spec.b, spec.c, eps)
-    return mm_bounds(_gf(spec.rho1, model, cache), _gf(spec.rho2, model, cache), spec.b, eps)
+    return _one(_mm_sweep(gf1, gf2, b, [eps]))
 
 
 def _gf(rho: RhoSpec, model: Model, cache: dict) -> GFunction:
@@ -382,22 +485,27 @@ def bias_curve(spec: EstimatorSpec, model: Model, eps_grid: Sequence[float]) -> 
     """Sweep the bias over an increasing eps grid; per-point failures become flags.
 
     Points at eps = 0 or beyond the breakdown point are filled in from the
-    definition (zero bias, infinite bias) without computation.  Monotonicity
+    definition (zero bias, infinite bias) without computation; the interior
+    points come from one array pass of the estimator's kernel.  Monotonicity
     of the lower and upper envelopes is verified afterwards (tolerance 1e-9)
     and violations are recorded, never raised.
     """
     grid = [float(e) for e in eps_grid]
     if any(e < 0 for e in grid) or any(x >= y for x, y in zip(grid, grid[1:])):
         raise DomainError("eps grid must be nonnegative and strictly increasing")
-    cache: dict = {}
-    points: list[BiasPoint] = []
-    for eps in grid:
-        try:
-            points.append(_point_for(spec, model, eps, cache))
-        except (NumericalError, BracketError) as exc:
-            points.append(
-                BiasPoint(eps, math.nan, math.nan, exact=False, flag=f"numerical-failure: {exc}")
-            )
+    if spec.kind == S_KIND:
+        results = _s_sweep(GFunction(spec.rho, model), spec.b, grid)
+    elif spec.kind == CM_KIND:
+        results = _cm_sweep(GFunction(spec.rho, model), spec.b, spec.c, grid)
+    else:
+        gf1, gf2 = GFunction(spec.rho1, model), GFunction(spec.rho2, model)
+        results = _mm_sweep(gf1, gf2, spec.b, grid)
+    points = [
+        r
+        if isinstance(r, BiasPoint)
+        else BiasPoint(eps, math.nan, math.nan, exact=False, flag=f"numerical-failure: {r}")
+        for eps, r in zip(grid, results)
+    ]
     violations = []
     for i in range(1, len(points)):
         a, bb = points[i - 1], points[i]

@@ -164,12 +164,13 @@ def _cauchy_cdf(z):
 
 
 def _slash_pdf(z):
-    # (phi(0) - phi(z)) / z^2 with its continuous limit phi(0)/2 at the origin.
+    # (phi(0) - phi(z)) / z^2 with its continuous limit phi(0)/2 at the origin;
+    # phi(0) - phi(z) = -phi(0) expm1(-z^2/2) keeps its digits at small z.
     z = np.asarray(z, dtype=float)
     peak = 1.0 / _SQRT2PI
     small = np.abs(z) < 1e-4
     zs = np.where(small, 1.0, z)
-    out = (peak - _norm_pdf(zs)) / zs**2
+    out = -peak * np.expm1(-0.5 * zs**2) / zs**2
     return np.where(small, peak * (0.5 - z**2 / 8.0), out)
 
 
@@ -178,7 +179,7 @@ def _slash_cdf(z):
     peak = 1.0 / _SQRT2PI
     small = np.abs(z) < 1e-4
     zs = np.where(small, 1.0, z)
-    out = special.ndtr(zs) - (peak - _norm_pdf(zs)) / zs
+    out = special.ndtr(zs) + peak * np.expm1(-0.5 * zs**2) / zs
     return np.where(small, 0.5 + peak * z / 2.0, out)
 
 
@@ -400,11 +401,27 @@ class GFunction:
         result is an array of scales, from one vector iteration).
         """
         if isinstance(v, np.ndarray):
-            targets = _targets(v)
-            return self._newton_array(targets, *self._brackets(targets))
+            s = self._invert(v)
+            failed = np.isnan(s)
+            if failed.any():
+                raise NumericalError(
+                    f"g_inverse did not bracket or converge for {np.count_nonzero(failed)} "
+                    f"of {v.size} targets (first at g = {v[failed][0]})"
+                )
+            return s
         if not GINV_FLOOR <= v <= 1.0 - GINV_FLOOR:
             v = float(_targets(np.array([v], dtype=float))[0])
         return self._newton_float(v, *self._bracket(v))
+
+    def _invert(self, v: np.ndarray) -> np.ndarray:
+        """g_inverse of an array of targets, NaN where a target failed to
+        bracket or converge: the per-point form for curves over eps grids."""
+        v = _targets(v)
+        lo, hi = self._brackets(v)
+        s = np.full_like(v, np.nan)
+        found = ~np.isnan(lo)
+        s[found] = self._newton_array(v[found], lo[found], hi[found])
+        return s
 
     def _g_phi_at(self, a, inside: bool):
         """(g, phi) at a = k s from one density evaluation; a is a float, or a
@@ -449,8 +466,9 @@ class GFunction:
         raise NumericalError(f"g_inverse did not converge at g = {v} in {_MAX_STEPS} steps")
 
     def _newton_array(self, v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """_newton_float for every target at once; converged targets leave the pass."""
-        out = np.empty_like(v)
+        """_newton_float for every target at once; converged targets leave the
+        pass, and a target not converged in _MAX_STEPS steps is left NaN."""
+        out = np.full_like(v, np.nan)
         active = np.arange(v.size)
         s = np.sqrt(lo * hi)
         step = prev = np.log(hi / lo)
@@ -475,9 +493,7 @@ class GFunction:
             keep = ~done
             active, v, lo, hi, s = active[keep], v[keep], lo[keep], hi[keep], new[keep]
             step, prev = step[keep], prev[keep]
-        raise NumericalError(
-            f"g_inverse did not converge for {active.size} targets in {_MAX_STEPS} steps"
-        )
+        return out
 
     def _ensure_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(s grid, g on it); g is NaN at fine points not yet evaluated."""
@@ -508,7 +524,8 @@ class GFunction:
         return s_grid[j - 1], s_grid[j]
 
     def _brackets(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """_bracket for every target: one coarse search, one scan per new cell."""
+        """_bracket for every target: one coarse search, one scan per new cell;
+        a target that cannot be bracketed beyond the table gets NaN ends."""
         s_grid, g_vals = self._ensure_table()
         n = len(_COARSE)
         idx = np.searchsorted(g_vals[_COARSE][::-1], v)
@@ -523,7 +540,10 @@ class GFunction:
         hi = np.empty_like(v)
         lo[inner], hi[inner] = s_grid[j - 1], s_grid[j]
         for i in np.flatnonzero(~inner):
-            lo[i], hi[i] = self._expand(float(v[i]), below=idx[i] == 0)
+            try:
+                lo[i], hi[i] = self._expand(float(v[i]), below=idx[i] == 0)
+            except NumericalError:
+                lo[i] = hi[i] = np.nan
         return lo, hi
 
     def _fill_cell(self, i: int) -> None:

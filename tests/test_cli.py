@@ -1,7 +1,10 @@
 import math
+import subprocess
+import sys
 
 import pytest
 
+from maxbias import cli
 from maxbias._io import fmt
 from maxbias.cli import main
 
@@ -222,3 +225,31 @@ class TestDeterminismAndRoundTrip:
         )
         assert code == 0
         assert out.startswith("eps,lower,upper,exact")
+
+
+class TestParserReuse:
+    """main builds its parser on the first call and reuses it."""
+
+    CALLS = [
+        ["curve", "--estimator", "cm", "--b", "0.5", "--c", "4.835", "--grid", "0.05:0.45:0.1"],
+        ["curve", "--estimator", "s", "--no-such-flag", "1"],
+        ["dominance", "--b", "0.5"],
+        ["curve", "--estimator", "cm", "--b", "0.5", "--c", "4.835", "--grid", "0.05:0.45:0.1"],
+    ]
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        reused = [run(capsys, *argv) for argv in self.CALLS]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 1, 0, 0]
+        assert cli._parser.cache_info().hits >= len(self.CALLS) - 1
+
+    def test_import_builds_no_parser(self):
+        code = "import maxbias.cli as c; print(c._parser.cache_info().currsize)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "0"

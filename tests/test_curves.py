@@ -26,7 +26,7 @@ from maxbias.curves import (
     write_curve_csv,
 )
 from maxbias.efficiency import error_law
-from maxbias.errors import DomainError
+from maxbias.errors import DomainError, NumericalError
 from maxbias.gfunction import GFunction, cauchy_model, gaussian_model
 from maxbias.rho import alpha_quantile, biweight, rho_eval
 
@@ -447,3 +447,125 @@ class TestCurveProperties:
         point = mm_bounds(gf1, gf2, b, eps)
         assume(point.flag is None)
         assert point.lower >= s_maxbias(gf1, b, eps).lower - 1e-9
+
+
+def _float_path_point(spec, model, eps):
+    """One curve point by float calls only: scale_bounds, g_eval, the float
+    g_inverse and objective_tail_inf, as each point was computed on its own."""
+    gaussian = model.geometry == "gaussian"
+
+    def to_bias(ratio):
+        return math.sqrt(max(ratio * ratio - 1.0, 0.0)) if gaussian else ratio - 1.0
+
+    if spec.kind == "s":
+        sigma, gamma = scale_bounds(GFunction(spec.rho, model), spec.b, eps)
+        value = to_bias(sigma / gamma)
+        return value, value, True
+    if spec.kind == "cm":
+        gf = GFunction(spec.rho, model)
+        sigma, gamma = scale_bounds(gf, spec.b, eps)
+        gap = (
+            objective_tail_inf(gf, spec.c, eps, sigma)[0]
+            - objective_tail_inf(gf, spec.c, eps, gamma)[0]
+        )
+        x = spec.c * eps + gap
+        value = math.sqrt(max(math.expm1(2.0 * x), 0.0)) if gaussian else math.expm1(x)
+        return value, value, True
+    gf1, gf2 = GFunction(spec.rho1, model), GFunction(spec.rho2, model)
+    sigma, gamma = scale_bounds(gf1, spec.b, eps)
+    r = eps / (1.0 - eps)
+    g2_sigma, g2_gamma = gf2.g_eval(sigma), gf2.g_eval(gamma)
+    if not g2_gamma - g2_sigma < r:
+        return math.nan, math.nan, False
+    if g2_sigma + r >= 1.0:
+        return math.inf, math.inf, False
+    lower = to_bias(sigma / gf2.g_inverse(g2_sigma + r))
+    upper = math.inf
+    if g2_gamma + r < 1.0:
+        upper = to_bias(gamma / gf2.g_inverse(g2_gamma + r))
+    return lower, max(lower, upper), upper <= lower
+
+
+class TestBatchedCurve:
+    """bias_curve computes a whole grid in one array pass per estimator."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        kind=st.sampled_from(["s", "cm", "mm"]),
+        model=st.sampled_from([gaussian_model(), cauchy_model()]),
+        step=st.booleans(),
+        k=st.floats(0.8, 5.0),
+        ratio=st.floats(1.2, 4.0),
+        b=st.floats(0.25, 0.5),
+        c=st.floats(0.5, 6.0),
+        fracs=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=12, unique=True),
+    )
+    def test_matches_the_float_path(self, kind, model, step, k, ratio, b, c, fracs):
+        rho = alpha_quantile(k) if step else biweight(k)
+        spec = {
+            "s": lambda: s_estimate(rho, b),
+            "cm": lambda: cm_estimate(rho, b, c),
+            "mm": lambda: mm_estimate(biweight(k), biweight(k * ratio), b),
+        }[kind]()
+        grid = sorted(f * breakdown_point(spec) for f in fracs)
+        assume(all(x < y for x, y in zip(grid, grid[1:])))
+        rel = 1e-12 if kind == "s" else 1e-10
+        for point in bias_curve(spec, model, grid).points:
+            lower, upper, exact = _float_path_point(spec, model, point.eps)
+            assert point.exact == exact
+            if math.isnan(lower):
+                assert point.flag.startswith("mm-condition-violated")
+                continue
+            assert point.lower == pytest.approx(lower, rel=rel)
+            assert point.upper == pytest.approx(upper, rel=rel)
+
+    SPECS = {
+        "s": s_estimate(biweight(1.5476), 0.5),
+        "mm": mm_estimate(biweight(1.5476), biweight(4.685), 0.5),
+        "cm": cm_estimate(biweight(1.0), 0.5, 3.5),
+    }
+
+    @pytest.mark.parametrize(
+        "kind, failing_call", [("s", 0), ("cm", 0), ("mm", 0), ("mm", 1)]
+    )
+    def test_a_failed_target_flags_only_its_point(self, kind, failing_call, gauss, monkeypatch):
+        # Call 0 inverts sigma and gamma of every interior eps (sigma of eps =
+        # 0.1 is its target 1); for MM, call 1 inverts g2 at both bracket ends
+        # (target 1: the lower end of eps = 0.1).
+        grid = [0.0, 0.05, 0.1, 0.2, 0.3, 0.55]
+        clean = bias_curve(self.SPECS[kind], gauss, grid).points
+        invert = GFunction._invert
+        calls = []
+
+        def failing(gf, v):
+            s = invert(gf, v)
+            if len(calls) == failing_call:
+                s[1] = math.nan
+            calls.append(v.size)
+            return s
+
+        monkeypatch.setattr(GFunction, "_invert", failing)
+        points = bias_curve(self.SPECS[kind], gauss, grid).points
+        assert len(calls) == (2 if kind == "mm" else 1)
+        failed = points[2]
+        assert math.isnan(failed.lower) and math.isnan(failed.upper) and not failed.exact
+        assert failed.flag.startswith("numerical-failure")
+        assert points[:2] + points[3:] == clean[:2] + clean[3:]
+
+    def test_a_failed_target_raises_from_the_one_eps_form(self, gauss, monkeypatch):
+        invert = GFunction._invert
+
+        def failing(gf, v):
+            s = invert(gf, v)
+            s[-1:] = math.nan
+            return s
+
+        monkeypatch.setattr(GFunction, "_invert", failing)
+        gf1, gf2 = GFunction(biweight(1.0), gauss), GFunction(biweight(4.685), gauss)
+        for call in (
+            lambda: s_maxbias(gf1, 0.5, 0.1),
+            lambda: cm_maxbias(gf1, 0.5, 3.5, 0.1),
+            lambda: mm_bounds(gf1, gf2, 0.5, 0.1),
+        ):
+            with pytest.raises(NumericalError, match="eps = 0.1"):
+                call()

@@ -211,8 +211,23 @@ class TestGInverse:
         lo, hi = gf_biw1_gauss._bracket(0.5)
         with pytest.raises(NumericalError):
             gf_biw1_gauss._newton_float(0.5, lo, hi)
+        # The array iteration leaves the target NaN; the public array call raises.
+        s = gf_biw1_gauss._newton_array(np.array([0.5]), np.array([lo]), np.array([hi]))
+        assert np.isnan(s).all()
         with pytest.raises(NumericalError):
-            gf_biw1_gauss._newton_array(np.array([0.5]), np.array([lo]), np.array([hi]))
+            gf_biw1_gauss.g_inverse(np.array([0.5]))
+
+    def test_array_failures_are_reported_per_target(self, gf_biw1_gauss, monkeypatch):
+        # 1e-11 lies beyond the table, where the expansion is made to fail.
+        def fail(v, below):
+            raise NumericalError(f"could not bracket g = {v}")
+
+        monkeypatch.setattr(gf_biw1_gauss, "_expand", fail)
+        v = np.array([0.5, 1e-11, 0.25])
+        s = gf_biw1_gauss._invert(v)
+        assert np.isnan(s[1]) and not np.isnan(s[[0, 2]]).any()
+        with pytest.raises(NumericalError, match="1 of 3 targets"):
+            gf_biw1_gauss.g_inverse(v)
 
 
 class TestPhi:
