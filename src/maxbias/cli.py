@@ -32,13 +32,7 @@ from .efficiency import (
     tune,
     write_avar_csv,
 )
-from .errors import (
-    BracketError,
-    DomainError,
-    MaxbiasError,
-    NumericalError,
-    TargetRangeError,
-)
+from .errors import DomainError, MaxbiasError, TargetRangeError
 from .gfunction import GFunction, cauchy_model, gaussian_model, write_phi_csv
 from .rho import ALPHA_QUANTILE, BIWEIGHT, alpha_quantile, biweight, validate_loss
 
@@ -73,11 +67,10 @@ def _parse_grid(text: str) -> list[float]:
     return [e for e in grid if e <= stop + 1e-12]
 
 
-def _rho_from(args, k_flag: str = "k"):
-    k = getattr(args, k_flag)
+def _rho_from(args):
     if args.rho == BIWEIGHT:
-        return biweight(k)
-    return alpha_quantile(k)
+        return biweight(args.k)
+    return alpha_quantile(args.k)
 
 
 def _model_from(args):
@@ -228,13 +221,10 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return _RUNNERS[args.command](args)
-    except _CliError as exc:
+    except (_CliError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (NumericalError, BracketError, MaxbiasError) as exc:
+    except MaxbiasError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

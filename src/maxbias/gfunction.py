@@ -56,7 +56,10 @@ converged.  The table is filled coarse to fine: every 32nd point when it
 is built, then the 31 points of a coarse cell the first time a query lands
 in it (each cell by its own scan, so its values do not depend on the
 query that filled it); a GFunction inverted at one level evaluates 96 of
-the 2048 points.
+the 2048 points.  Beyond each end of the table, g on the ladder s_end 2^m
+(or s_0 2^-m), m = 1.._MAX_STEPS, comes from one scan the first time a
+target falls there; the target is bracketed by the first rung past it and
+the rung before, and fails past the last rung.
 """
 
 from __future__ import annotations
@@ -101,8 +104,8 @@ _TABLE_STRIDE = 32
 _COARSE = np.append(np.arange(0, _TABLE_SIZE - 1, _TABLE_STRIDE), _TABLE_SIZE - 1)
 
 # g_inverse stops once a step moves s by at most _XTOL + _RTOL s (or the
-# bracket is that narrow); it and the bracket expansions take at most
-# _MAX_STEPS steps.
+# bracket is that narrow) and takes at most _MAX_STEPS steps; the ladder
+# beyond each end of the table has _MAX_STEPS doublings (or halvings).
 _XTOL = 1e-14
 _RTOL = 1e-13
 _MAX_STEPS = 200
@@ -356,8 +359,8 @@ class GFunction:
     """g(s) = E rho(Z/s) with inverse, phi(s) = -s g'(s) and its peak.
 
     Immutable after construction apart from caches: the bracketing table
-    (filled cell by cell as queries need it) and the peak are computed
-    lazily on first use and then shared by all readers.
+    (filled cell by cell as queries need it), the ladders beyond it and the
+    peak are computed lazily on first use and then shared by all readers.
     """
 
     def __init__(self, rho: RhoSpec, model: Model):
@@ -369,6 +372,7 @@ class GFunction:
         self._wphi = _UW * 6.0 * _UX**2 * (1.0 - _UX**2) ** 2
         self._wgphi = np.column_stack((self._wrho, self._wphi))
         self._table: tuple[np.ndarray, np.ndarray] | None = None
+        self._ladders: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
         self._peak: tuple[float, float] | None = None
         self._unimodal: UnimodalityCheck | None = None
 
@@ -383,6 +387,8 @@ class GFunction:
 
     def _g_at(self, a, inside: bool):
         """g at a = k s: a float, or a 1-D array wholly on one side of the edge."""
+        if self.rho.family == ALPHA_QUANTILE:
+            return 2.0 * self.model.sf(a)
         if inside:
             finite = a * np.dot(self.model.pdf(_column(a) * _UX), self._wrho)
         else:
@@ -507,14 +513,17 @@ class GFunction:
         return self._table
 
     def _bracket(self, v: float) -> tuple[float, float]:
-        """Adjacent table scales (or an expansion beyond the table) with g >= v > g."""
+        """Adjacent table scales (or ladder rungs beyond the table) with g >= v > g."""
         s_grid, g_vals = self._ensure_table()
         n = len(_COARSE)
         # g decreasing: reverse for searchsorted; v lies in coarse cell
         # [_COARSE[i], _COARSE[i + 1]] with g >= v at its start, g < v at its end.
         idx = np.searchsorted(g_vals[_COARSE][::-1], v)
         if not 0 < idx < n:
-            return self._expand(v, below=idx == 0)
+            lo, hi = self._climb(np.array([v]), below=idx == 0)
+            if np.isnan(lo[0]):
+                raise NumericalError(f"could not bracket g = {v} beyond the table")
+            return lo[0], hi[0]
         i = n - idx - 1
         self._fill_cell(i)
         lo = _COARSE[i]
@@ -525,7 +534,7 @@ class GFunction:
 
     def _brackets(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """_bracket for every target: one coarse search, one scan per new cell;
-        a target that cannot be bracketed beyond the table gets NaN ends."""
+        a target past the last rung of a ladder gets NaN ends."""
         s_grid, g_vals = self._ensure_table()
         n = len(_COARSE)
         idx = np.searchsorted(g_vals[_COARSE][::-1], v)
@@ -539,11 +548,9 @@ class GFunction:
         lo = np.empty_like(v)
         hi = np.empty_like(v)
         lo[inner], hi[inner] = s_grid[j - 1], s_grid[j]
-        for i in np.flatnonzero(~inner):
-            try:
-                lo[i], hi[i] = self._expand(float(v[i]), below=idx[i] == 0)
-            except NumericalError:
-                lo[i] = hi[i] = np.nan
+        for below, beyond in ((True, idx == 0), (False, idx == n)):
+            if beyond.any():
+                lo[beyond], hi[beyond] = self._climb(v[beyond], below)
         return lo, hi
 
     def _fill_cell(self, i: int) -> None:
@@ -553,25 +560,25 @@ class GFunction:
         if np.isnan(g_vals[lo + 1]):
             g_vals[lo + 1 : hi] = self._scan(self._g_at, s_grid[lo + 1 : hi])
 
-    def _expand(self, v: float, below: bool) -> tuple[float, float]:
-        """Bracket a target beyond the table by doubling (below: v under the
-        smallest tabulated g) or halving from its end scale."""
-        s_grid = self._table[0]
-        if below:
-            lo = s_grid[-1]
-            hi = 2.0 * lo
-            for _ in range(_MAX_STEPS):
-                if self.g_eval(hi) < v:
-                    return lo, hi
-                lo, hi = hi, 2.0 * hi
-            raise NumericalError(f"could not bracket g = {v} above s = {s_grid[-1]:g}")
-        hi = s_grid[0]
-        lo = 0.5 * hi
-        for _ in range(_MAX_STEPS):
-            if self.g_eval(lo) > v:
-                return lo, hi
-            lo, hi = 0.5 * lo, lo
-        raise NumericalError(f"could not bracket g = {v} below s = {s_grid[0]:g}")
+    def _climb(self, v: np.ndarray, below: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Brackets of targets beyond one end of the table, from its ladder.
+
+        The rungs are s_end 2^m (below: targets under the smallest tabulated
+        g) or s_0 2^-m, m = 0.._MAX_STEPS; g on rungs 1 on comes from one scan
+        the first time a target needs it.  A target gets the first rung past
+        it and the rung before; past the last rung, NaN ends.
+        """
+        if below not in self._ladders:
+            end = self._table[0][-1 if below else 0]
+            rungs = np.ldexp(end, np.arange(_MAX_STEPS + 1) * (1 if below else -1))
+            self._ladders[below] = (rungs, self._scan(self._g_at, rungs[1:]))
+        rungs, g = self._ladders[below]
+        past = g < v[:, None] if below else g > v[:, None]
+        m = np.argmax(past, axis=1)
+        near, far = rungs[m], rungs[m + 1]
+        missed = ~past[np.arange(v.size), m]
+        near[missed] = far[missed] = np.nan
+        return (near, far) if below else (far, near)
 
     # -- phi ---------------------------------------------------------------
 

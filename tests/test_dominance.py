@@ -114,12 +114,20 @@ class TestCNaught:
             passes.append(args)
             return scan(*args)
 
+        def counting_g_eval(s):
+            scalar.append(s)
+            return g_eval(s)
+
+        scalar, g_eval = [], gf.g_eval
         monkeypatch.setattr(numerics, "find_root", counting_root)
         monkeypatch.setattr(gf, "_scan", counting_scan)
+        monkeypatch.setattr(gf, "g_eval", counting_g_eval)
         assert c_naught(gf, 0.5) == expected
-        # 1024 targets in one Newton iteration: one kernel pass per step.
+        # 1024 targets in one Newton iteration: one kernel pass per step, and
+        # targets beyond the table are bracketed from the cached ladders.
         assert not roots
         assert 0 < len(passes) <= 12
+        assert not scalar
 
 
 class TestCOne:

@@ -217,17 +217,20 @@ class TestGInverse:
         with pytest.raises(NumericalError):
             gf_biw1_gauss.g_inverse(np.array([0.5]))
 
-    def test_array_failures_are_reported_per_target(self, gf_biw1_gauss, monkeypatch):
-        # 1e-11 lies beyond the table, where the expansion is made to fail.
-        def fail(v, below):
-            raise NumericalError(f"could not bracket g = {v}")
-
-        monkeypatch.setattr(gf_biw1_gauss, "_expand", fail)
+    def test_array_failures_are_reported_per_target(self):
+        # 1e-11 lies beyond the table, past a ladder cut short above it.
+        gf = GFunction(biweight(1.0), gaussian_model())
+        gf.g_inverse(1e-9)  # builds the ladder above the table
+        rungs, g = gf._ladders[True]
+        above = np.count_nonzero(g >= 1e-11)
+        gf._ladders[True] = (rungs[: above + 1], g[:above])
         v = np.array([0.5, 1e-11, 0.25])
-        s = gf_biw1_gauss._invert(v)
+        s = gf._invert(v)
         assert np.isnan(s[1]) and not np.isnan(s[[0, 2]]).any()
         with pytest.raises(NumericalError, match="1 of 3 targets"):
-            gf_biw1_gauss.g_inverse(v)
+            gf.g_inverse(v)
+        with pytest.raises(NumericalError, match="could not bracket"):
+            gf.g_inverse(1e-11)
 
 
 class TestPhi:
@@ -303,6 +306,27 @@ class TestUnimodalityAndConvexity:
 
     def test_concave_negative_control(self):
         assert not _convex_values(np.sqrt(np.linspace(0.5, 4.0, 400)))
+
+    @pytest.mark.parametrize("name", list(LAWS))
+    def test_every_density_is_nonincreasing(self, name):
+        # The premise of the convexity theorem the dominance hypotheses rest on.
+        z = np.logspace(-12.0, 12.0, 4001)
+        assert np.all(np.diff(LAWS[name].pdf(z)) <= 0.0)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        model=st.sampled_from(PROPERTY_MODELS),
+        k=st.one_of(st.none(), st.floats(0.3, 6.0)),
+        log_lo=st.floats(-4.0, 4.0),
+        log_width=st.floats(0.01, 8.0),
+    )
+    def test_g_convex_everywhere(self, model, k, log_lo, log_width):
+        # k None: the step loss.
+        rho = alpha_quantile() if k is None else biweight(k)
+        lo = 10.0**log_lo
+        hi = 10.0 ** min(log_lo + log_width, 4.0)
+        assume(hi > lo)
+        assert GFunction(rho, model).check_g_convex(lo, hi)
 
 
 class TestPhiExport:
@@ -393,6 +417,42 @@ class TestBracketTable:
         v = np.concatenate((np.linspace(0.01, 0.99, 50), [1e-10, 1.0 - 1e-10]))
         lo, hi = gf_biw468_gauss._brackets(v)
         assert [gf_biw468_gauss._bracket(float(x)) for x in v] == list(zip(lo, hi))
+
+    @ALL_MODELS
+    @ALL_RHOS
+    def test_ladder_brackets_equal_doubling_and_halving(self, model, rho):
+        gf = GFunction(rho, model)
+        s_grid = gf._ensure_table()[0]
+        g_first, g_last = gf.g_eval(s_grid[0]), gf.g_eval(s_grid[-1])
+
+        def reference(v):
+            """Bracket by doubling from the last table scale or halving from the
+            first, 200 steps at most; None if that does not reach v."""
+            lo, hi = s_grid[-1], s_grid[0]
+            for _ in range(200):
+                if v <= g_last:
+                    if gf.g_eval(2.0 * lo) < v:
+                        return lo, 2.0 * lo
+                    lo *= 2.0
+                else:
+                    if gf.g_eval(0.5 * hi) > v:
+                        return 0.5 * hi, hi
+                    hi *= 0.5
+            return None
+
+        def bracket(v):
+            try:
+                return gf._bracket(v)
+            except NumericalError:
+                return None
+
+        below = g_last * np.array([0.9, 0.5, 1e-3, 1e-9, 1e-30, 1e-300])
+        above = 1.0 - (1.0 - g_first) * np.array([0.9, 0.5, 1e-3, 1e-6, 1e-9])
+        v = np.concatenate((below[below > 0.0], above[(above > g_first) & (above < 1.0)]))
+        expected = [reference(x) for x in v]
+        assert [bracket(float(x)) for x in v] == expected
+        lo, hi = gf._brackets(v)
+        assert [None if np.isnan(a) else (a, b) for a, b in zip(lo, hi)] == expected
 
     def test_one_inversion_fills_one_cell(self, gf_biw1_gauss):
         gf = GFunction(gf_biw1_gauss.rho, gf_biw1_gauss.model)
