@@ -474,11 +474,17 @@ def mm_bounds(gf1: GFunction, gf2: GFunction, b: float, eps: float) -> BiasPoint
     return _one(_mm_sweep(gf1, gf2, b, [eps]))
 
 
-def _gf(rho: RhoSpec, model: Model, cache: dict) -> GFunction:
-    key = (rho, model)
-    if key not in cache:
-        cache[key] = GFunction(rho, model)
-    return cache[key]
+@functools.lru_cache(maxsize=32)
+def _gf(rho: RhoSpec, model: Model) -> GFunction:
+    """One GFunction per (rho, model) for the process, at most 32 pairs.
+
+    ``tune("s")``, ``tune("cm")``, ``gaussian_efficiency``, ``avar_table`` and
+    ``reference_estimators`` share them.  No result depends on what an instance
+    served before: each table cell, ladder, phi scan and peak comes from its own
+    fixed scan.  Curves, dominance and the CLI's phi, dominance and check build
+    their own, since their cutoffs seldom recur and caching them costs memory.
+    """
+    return GFunction(rho, model)
 
 
 def bias_curve(spec: EstimatorSpec, model: Model, eps_grid: Sequence[float]) -> BiasCurve:

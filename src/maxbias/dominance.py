@@ -118,21 +118,26 @@ def _profile_grid(bp: float, n: int) -> np.ndarray:
 
 def c_naught(gf: GFunction, b: float, n: int = 512) -> float:
     """inf of c(eps) over (0, min(b, 1-b)), refined grid plus the analytic limit."""
-    bp = _breakdown(b)
-    values = _c_values(gf, b, _profile_grid(bp, n))
-    return min(float(np.min(values)), c_zero_limit(gf, b))
+    return _c_naught(gf, b, c_zero_limit(gf, b), n)
+
+
+def _c_naught(gf: GFunction, b: float, limit: float, n: int = 512) -> float:
+    values = _c_values(gf, b, _profile_grid(_breakdown(b), n))
+    return min(float(np.min(values)), limit)
 
 
 def c_one(gf: GFunction, b: float) -> float:
     """log(sigma_M / sigma_{b,0}) / (b - g(sigma_M)); needs g(sigma_M) < b."""
     _breakdown(b)
     sigma_m, _ = gf.peak()
-    g_at_peak = gf.g_eval(sigma_m)
+    return _c_one(b, sigma_m, gf.g_eval(sigma_m), gf.g_inverse(b))
+
+
+def _c_one(b: float, sigma_m: float, g_at_peak: float, sigma_b0: float) -> float:
     if not g_at_peak < b:
         raise ConditionError(
             f"c_1 requires g(sigma_M) < b; here g(sigma_M) = {g_at_peak:.6g} and b = {b:g}"
         )
-    sigma_b0 = gf.g_inverse(b)
     return math.log(sigma_m / sigma_b0) / (b - g_at_peak)
 
 
@@ -143,11 +148,8 @@ def slope_condition(gf: GFunction, b: float) -> bool:
     everywhere, so the infimum of c(eps) is attained in the eps -> 0 limit.
     """
     _breakdown(b)
-    sigma_m, _ = gf.peak()
-    g_at_peak = gf.g_eval(sigma_m)
-    lhs = gf.phi_eval(gf.g_inverse(b))
-    rhs = (1.0 - g_at_peak) ** 2 * (1.0 - b) / (2.0 - (b + g_at_peak))
-    return bool(lhs >= rhs)
+    g_at_peak = gf.g_eval(gf.peak()[0])
+    return _hypotheses(b, g_at_peak, gf.phi_eval(gf.g_inverse(b)))["slope-condition"]
 
 
 def h_gap(gf: GFunction, c: float, eps: float, sigma: float) -> float:
@@ -187,19 +189,20 @@ def dominance_report(gf: GFunction, b: float) -> DominanceReport:
     sigma_m, cap = gf.peak()
     g_at_peak = gf.g_eval(sigma_m)
     sigma_b0 = gf.g_inverse(b)
+    phi_b0 = gf.phi_eval(sigma_b0)
 
     profile_eps = _profile_grid(bp, _PROFILE_POINTS)
     profile = np.column_stack((profile_eps, _c_values(gf, b, profile_eps)))
-    c0 = c_naught(gf, b)
-    c0_lim = c_zero_limit(gf, b)
-    lower_bound = (1.0 - b) / cap + b / gf.phi_eval(sigma_b0)
+    c0_lim = 1.0 / phi_b0  # c_zero_limit
+    c0 = _c_naught(gf, b, c0_lim)
+    lower_bound = (1.0 - b) / cap + b / phi_b0
 
-    hypotheses = _hypotheses(gf, b)
+    hypotheses = _hypotheses(b, g_at_peak, phi_b0)
     failed = [name for name, holds in hypotheses.items() if not holds]
 
     c1_value: float | None
     try:
-        c1_value = c_one(gf, b)
+        c1_value = _c_one(b, sigma_m, g_at_peak, sigma_b0)
     except ConditionError:
         c1_value = None
 
@@ -233,13 +236,14 @@ def dominance_report(gf: GFunction, b: float) -> DominanceReport:
     )
 
 
-def _hypotheses(gf: GFunction, b: float) -> dict[str, bool]:
-    """Whether each dominance hypothesis holds at b, by name, in report order;
-    g is convex by the theorem in the module docstring, not by a scan."""
+def _hypotheses(b: float, g_at_peak: float, phi_b0: float) -> dict[str, bool]:
+    """Each dominance hypothesis at b from g(sigma_M) and phi(sigma_{b,0}), by name
+    in report order; g is convex by the theorem in the module docstring."""
+    rhs = (1.0 - g_at_peak) ** 2 * (1.0 - b) / (2.0 - (b + g_at_peak))
     return {
         "g-convex": True,
-        "slope-condition": slope_condition(gf, b),
-        "g(sigma_M)<=b": bool(gf.g_eval(gf.peak()[0]) <= b),
+        "slope-condition": bool(phi_b0 >= rhs),
+        "g(sigma_M)<=b": bool(g_at_peak <= b),
     }
 
 
@@ -256,9 +260,10 @@ def inadmissibility_threshold(rho: RhoSpec, model: Model | None = None) -> float
             "the inadmissibility threshold is defined under the Gaussian bias geometry"
         )
     gf = GFunction(rho, model)
+    g_at_peak = gf.g_eval(gf.peak()[0])
 
     def hypotheses_hold(b: float) -> bool:
-        return all(_hypotheses(gf, b).values())
+        return all(_hypotheses(b, g_at_peak, gf.phi_eval(gf.g_inverse(b))).values())
 
     if not hypotheses_hold(0.5):
         raise ConditionError(

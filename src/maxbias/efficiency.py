@@ -20,7 +20,9 @@ g(s) = b; the MM-estimate inherits the preliminary S scale of its first
 loss; the CM-estimate scale is the minimizer of c g(s) + log s over s >= the
 S scale (``curves.objective_tail_inf`` at eps = 0), which is either the
 constraint boundary (the estimate is then asymptotically an S-estimate:
-``binding``) or the upper stationary scale of the objective.
+``binding``) or the upper stationary scale of the objective.  Every entry
+point here takes the GFunction of a (loss, law) pair from ``curves._gf``,
+one instance per pair for the whole process, for the reasons given there.
 """
 
 from __future__ import annotations
@@ -117,14 +119,11 @@ def s_scale(gf: GFunction, b: float) -> float:
     return gf.g_inverse(b)
 
 
-def _residual_scale(spec: EstimatorSpec, law: Model, gfs: dict) -> tuple[float, bool | None]:
-    # gfs caches one GFunction per (loss, law) (see curves._gf).
-    if spec.kind == S_KIND:
-        return s_scale(_gf(spec.rho, law, gfs), spec.b), None
-    if spec.kind == MM_KIND:
-        return s_scale(_gf(spec.rho1, law, gfs), spec.b), None
-    gf = _gf(spec.rho, law, gfs)
+def _residual_scale(spec: EstimatorSpec, law: Model) -> tuple[float, bool | None]:
+    gf = _gf(spec.rho1 if spec.kind == MM_KIND else spec.rho, law)
     boundary = s_scale(gf, spec.b)
+    if spec.kind != CM_KIND:
+        return boundary, None
     _, scale = objective_tail_inf(gf, spec.c, 0.0, boundary)
     return scale, scale == boundary
 
@@ -141,7 +140,7 @@ def _psi_rho(spec: EstimatorSpec) -> RhoSpec:
 def gaussian_efficiency(spec: EstimatorSpec) -> float:
     """1 / avar at the standard normal, using the functional's own residual scale."""
     law = gaussian_model()
-    scale, _ = _residual_scale(spec, law, {})
+    scale, _ = _residual_scale(spec, law)
     return 1.0 / m_avar(_psi_rho(spec), scale, law)
 
 
@@ -187,7 +186,7 @@ def tune(
     if kind == S_KIND:
         if (b is None) == (k is None):
             raise DomainError("tune('s', ...) takes exactly one of b or k")
-        gauss = GFunction(biweight(1.0), gaussian_model())
+        gauss = _gf(biweight(1.0), gaussian_model())
         return gauss.g_eval(k) if b is None else s_scale(gauss, b)
     if target_eff is None or b is None:
         raise DomainError(f"tune({kind!r}, ...) needs both b and target_eff")
@@ -197,7 +196,7 @@ def tune(
         # normal, so the target pins k2 directly.
         return _k_for_eff(target_eff)
     if kind == CM_KIND:
-        gf = GFunction(biweight(1.0), gaussian_model())
+        gf = _gf(biweight(1.0), gaussian_model())
         boundary = s_scale(gf, b)
         # The binding CM estimate is the S-estimate: its efficiency is the floor.
         floor_eff = _unit_scale_eff(boundary)
@@ -232,17 +231,12 @@ class EfficiencyCell:
 def avar_table(
     specs: Sequence[tuple[str, EstimatorSpec]], laws: Sequence[str] = LAW_NAMES
 ) -> list[EfficiencyCell]:
-    """Slope variances of labeled estimates across laws; degenerate cells are flagged.
-
-    Estimates sharing a loss at a law share its GFunction, so each (loss,
-    law) pair builds its bracketing table and phi scan once.
-    """
+    """Slope variances of labeled estimates across laws; degenerate cells are flagged."""
     cells = []
-    gfs: dict = {}
     for law_name in laws:
         law = error_law(law_name)
         for label, spec in specs:
-            scale, binding = _residual_scale(spec, law, gfs)
+            scale, binding = _residual_scale(spec, law)
             try:
                 value = m_avar(_psi_rho(spec), scale, law)
                 degenerate = False

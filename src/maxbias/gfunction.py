@@ -96,7 +96,6 @@ __all__ = [
 GINV_FLOOR = 1e-12
 
 _TABLE_SIZE = 2048
-_TABLE_RANGE = (1e-4, 1e4)
 # Coarse points of the bracketing table: every _TABLE_STRIDE-th and the last.
 # g decreases, so searching them and then one cell finds the bracket that a
 # search of the whole table would.
@@ -131,6 +130,11 @@ def _unit_rule(nodes_per_panel: int = 32) -> tuple[np.ndarray, np.ndarray]:
 
 
 _UX, _UW = _unit_rule()
+# The phi weights and the bracketing-table grid are the same for every
+# GFunction; read-only, because every instance shares them.
+_WPHI = _UW * 6.0 * _UX**2 * (1.0 - _UX**2) ** 2
+_TABLE_GRID = np.logspace(-4.0, 4.0, _TABLE_SIZE)
+_WPHI.flags.writeable = _TABLE_GRID.flags.writeable = False
 
 # Rows of the (rows x 288) node matrix evaluated per block in a grid scan.
 # A 48-row block (110 KB per temporary) stays cache-resident and below
@@ -369,9 +373,8 @@ class GFunction:
         # rho(z/s) at the unit nodes v = z/(k s) equals rho(k v): independent
         # of s, so the finite integrand is precomputed once.
         self._wrho = _UW * rho_eval(rho, rho.k * _UX)
-        self._wphi = _UW * 6.0 * _UX**2 * (1.0 - _UX**2) ** 2
-        self._wgphi = np.column_stack((self._wrho, self._wphi))
-        self._table: tuple[np.ndarray, np.ndarray] | None = None
+        self._wgphi = np.column_stack((self._wrho, _WPHI))
+        self._table: np.ndarray | None = None  # g on _TABLE_GRID
         self._ladders: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
         self._peak: tuple[float, float] | None = None
         self._unimodal: UnimodalityCheck | None = None
@@ -501,20 +504,18 @@ class GFunction:
             step, prev = step[keep], prev[keep]
         return out
 
-    def _ensure_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(s grid, g on it); g is NaN at fine points not yet evaluated."""
+    def _ensure_table(self) -> np.ndarray:
+        """g on _TABLE_GRID, NaN at fine points not yet evaluated; callers fill
+        and search the array handed to them (two threads may each build one)."""
         if self._table is None:
-            s_grid = np.logspace(
-                math.log10(_TABLE_RANGE[0]), math.log10(_TABLE_RANGE[1]), _TABLE_SIZE
-            )
             g_vals = np.full(_TABLE_SIZE, np.nan)
-            g_vals[_COARSE] = self._scan(self._g_at, s_grid[_COARSE])
-            self._table = (s_grid, g_vals)
+            g_vals[_COARSE] = self._scan(self._g_at, _TABLE_GRID[_COARSE])
+            self._table = g_vals
         return self._table
 
     def _bracket(self, v: float) -> tuple[float, float]:
         """Adjacent table scales (or ladder rungs beyond the table) with g >= v > g."""
-        s_grid, g_vals = self._ensure_table()
+        g_vals = self._ensure_table()
         n = len(_COARSE)
         # g decreasing: reverse for searchsorted; v lies in coarse cell
         # [_COARSE[i], _COARSE[i + 1]] with g >= v at its start, g < v at its end.
@@ -525,40 +526,39 @@ class GFunction:
                 raise NumericalError(f"could not bracket g = {v} beyond the table")
             return lo[0], hi[0]
         i = n - idx - 1
-        self._fill_cell(i)
+        self._fill_cell(g_vals, i)
         lo = _COARSE[i]
         cell = g_vals[lo : _COARSE[i + 1] + 1]
         # first grid point with g < v sits at j, g >= v at j-1
         j = lo + len(cell) - np.searchsorted(cell[::-1], v)
-        return s_grid[j - 1], s_grid[j]
+        return _TABLE_GRID[j - 1], _TABLE_GRID[j]
 
     def _brackets(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """_bracket for every target: one coarse search, one scan per new cell;
         a target past the last rung of a ladder gets NaN ends."""
-        s_grid, g_vals = self._ensure_table()
+        g_vals = self._ensure_table()
         n = len(_COARSE)
         idx = np.searchsorted(g_vals[_COARSE][::-1], v)
         inner = (0 < idx) & (idx < n)
         cell = n - idx[inner] - 1
         for i in np.unique(cell):
-            self._fill_cell(i)
+            self._fill_cell(g_vals, i)
         first, last = _COARSE[cell], _COARSE[cell + 1]
         points = np.minimum(first[:, None] + np.arange(_TABLE_STRIDE + 1), last[:, None])
         j = first + np.count_nonzero(g_vals[points] >= v[inner, None], axis=1)
         lo = np.empty_like(v)
         hi = np.empty_like(v)
-        lo[inner], hi[inner] = s_grid[j - 1], s_grid[j]
+        lo[inner], hi[inner] = _TABLE_GRID[j - 1], _TABLE_GRID[j]
         for below, beyond in ((True, idx == 0), (False, idx == n)):
             if beyond.any():
                 lo[beyond], hi[beyond] = self._climb(v[beyond], below)
         return lo, hi
 
-    def _fill_cell(self, i: int) -> None:
-        """Evaluate the fine points of coarse cell i, by a scan of their own."""
-        s_grid, g_vals = self._table
+    def _fill_cell(self, g_vals: np.ndarray, i: int) -> None:
+        """Evaluate the fine points of coarse cell i of g_vals, by a scan of their own."""
         lo, hi = _COARSE[i], _COARSE[i + 1]
         if np.isnan(g_vals[lo + 1]):
-            g_vals[lo + 1 : hi] = self._scan(self._g_at, s_grid[lo + 1 : hi])
+            g_vals[lo + 1 : hi] = self._scan(self._g_at, _TABLE_GRID[lo + 1 : hi])
 
     def _climb(self, v: np.ndarray, below: bool) -> tuple[np.ndarray, np.ndarray]:
         """Brackets of targets beyond one end of the table, from its ladder.
@@ -569,7 +569,7 @@ class GFunction:
         it and the rung before; past the last rung, NaN ends.
         """
         if below not in self._ladders:
-            end = self._table[0][-1 if below else 0]
+            end = _TABLE_GRID[-1 if below else 0]
             rungs = np.ldexp(end, np.arange(_MAX_STEPS + 1) * (1 if below else -1))
             self._ladders[below] = (rungs, self._scan(self._g_at, rungs[1:]))
         rungs, g = self._ladders[below]
@@ -594,7 +594,7 @@ class GFunction:
         if self.rho.family == ALPHA_QUANTILE:
             return 2.0 * a * self.model.pdf(a)
         if inside:
-            return 2.0 * a * np.dot(self.model.pdf(_column(a) * _UX), self._wphi)
+            return 2.0 * a * np.dot(self.model.pdf(_column(a) * _UX), _WPHI)
         edge = self.model.support
         z = edge * _UX
         v = z / _column(a)
@@ -645,17 +645,12 @@ class GFunction:
         diffs = np.diff(vals)
         i_max = int(np.argmax(vals))
         slack = 1e-12 * max(float(np.max(vals)), 1e-300)
-        rising_ok = np.all(diffs[:i_max] >= -slack)
-        falling_ok = np.all(diffs[i_max:] <= slack)
-        ok = bool(rising_ok and falling_ok)
-        violation = None
-        if not ok:
-            bad = np.nonzero(
-                np.concatenate((diffs[:i_max] < -slack, diffs[i_max:] > slack))
-            )[0]
-            violation = float(s_grid[bad[0]])
+        rise, fall = diffs[:i_max] >= -slack, diffs[i_max:] <= slack
+        bad = np.flatnonzero(~np.concatenate((rise, fall)))  # a NaN breaks the profile too
         self._unimodal = UnimodalityCheck(
-            ok=ok, violation_s=violation, table=np.column_stack((s_grid, vals))
+            ok=not bad.size,
+            violation_s=float(s_grid[bad[0]]) if bad.size else None,
+            table=np.column_stack((s_grid, vals)),
         )
         return self._unimodal
 

@@ -1,10 +1,16 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import maxbias
 from maxbias import cli
+from maxbias.curves import cm_estimate
+from maxbias.efficiency import LAW_NAMES, avar_table, tune
+from maxbias.rho import biweight
 from maxbias._io import fmt
 from maxbias.cli import main
 
@@ -225,6 +231,38 @@ class TestDeterminismAndRoundTrip:
         )
         assert code == 0
         assert out.startswith("eps,lower,upper,exact")
+
+
+class TestFreshInterpreterDeterminism:
+    """Table and CM tuning print the same bytes in fresh and warm processes."""
+
+    COMMANDS = [["table"], ["tune", "--estimator", "cm", "--b", "0.5", "--target-eff", "0.95"]]
+
+    def _fresh_stdout(self, argv):
+        """stdout of argv in each of two fresh interpreters, run side by side."""
+        src = str(Path(maxbias.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys; from maxbias.cli import main; sys.exit(main(sys.argv[1:]))"
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code, *argv],
+                env=dict(os.environ, PYTHONPATH=path),
+                stdout=subprocess.PIPE,
+            )
+            for _ in range(2)
+        ]
+        outs = [p.communicate(timeout=300)[0] for p in procs]
+        assert [p.returncode for p in procs] == [0, 0]
+        return outs
+
+    def test_fresh_and_warm_stdout_are_identical(self, capsys):
+        fresh = [self._fresh_stdout(argv) for argv in self.COMMANDS]
+        # Warm the shared profiles with other queries of the same pairs first.
+        tune("cm", b=0.4, target_eff=0.9)
+        avar_table([("CM", cm_estimate(biweight(1.0), 0.35, 3.0))], LAW_NAMES)
+        warm = [[run(capsys, *argv)[1].encode() for _ in range(2)] for argv in self.COMMANDS]
+        for (a, b), (c, d) in zip(fresh, warm):
+            assert a == b == c == d
 
 
 class TestParserReuse:

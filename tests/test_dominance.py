@@ -296,6 +296,33 @@ class TestDominanceReport:
         keys = [line.split("=")[0] for line in text.strip().splitlines()]
         assert "c0" in keys and "c1" in keys and "lower_bound_c0" in keys
 
+    @pytest.mark.parametrize("b", [0.5, 0.3])
+    def test_each_scalar_computed_once(self, monkeypatch, b):
+        gf = GFunction(biweight(1.0), gaussian_model())
+        gf.peak()
+        calls = {"g_inverse": 0, "g_eval": 0, "phi_eval": 0}
+        for name in calls:
+
+            def counted(x, method=getattr(gf, name), name=name):
+                calls[name] += not isinstance(x, np.ndarray)
+                return method(x)
+
+            monkeypatch.setattr(gf, name, counted)
+        rep = dominance_report(gf, b)
+        # g_inverse(b), g(sigma_M) and phi(sigma_{b,0}); the profile and the
+        # infimum grid invert arrays.
+        assert calls == {"g_inverse": 1, "g_eval": 1, "phi_eval": 1}
+        monkeypatch.undo()
+        assert rep.c0 == c_naught(gf, b)
+        assert rep.c0_limit == c_zero_limit(gf, b)
+        assert rep.slope_condition == slope_condition(gf, b)
+        if b == 0.5:
+            assert rep.c1 == c_one(gf, b)
+        else:
+            assert rep.c1 is None
+            with pytest.raises(ConditionError):
+                c_one(gf, b)
+
 
 class TestInadmissibilityThreshold:
     def test_biweight_threshold(self):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from maxbias.curves import cm_estimate, mm_estimate, objective_tail_inf, s_estimate
@@ -270,7 +272,7 @@ class TestTune:
 
 
 class TestGFunctionBuilds:
-    """tune builds one GFunction for s and cm and none for mm."""
+    """tune shares one GFunction for s and cm and builds none for mm."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -283,16 +285,67 @@ class TestGFunctionBuilds:
 
         for module in (curves, efficiency):
             monkeypatch.setattr(module, "GFunction", CountingGFunction)
-        return built
+        curves._gf.cache_clear()
+        yield built
+        curves._gf.cache_clear()
 
-    def test_reference_estimators_build_three(self, built):
+    def test_reference_estimators_build_one(self, built):
         reference_estimators()
-        # tune("s", b=...), tune("cm", ...) and tune("s", k=...)
-        assert len(built) == 3
+        # tune("s", b=...), tune("cm", ...) and tune("s", k=...) share one.
+        assert built == [(biweight(1.0), error_law("NORM"))]
 
     def test_mm_tuning_builds_none(self, built):
         tune("mm", b=0.5, target_eff=0.95)
         assert built == []
+
+
+class TestSharedCache:
+    """Warm shared GFunctions give the bits fresh ones give, whatever they served."""
+
+    @staticmethod
+    def _cold(compute):
+        curves._gf.cache_clear()
+        return compute()
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(
+        b=st.floats(0.3, 0.5),
+        eff=st.floats(0.85, 0.97),
+        c=st.floats(2.0, 6.0),
+        k=st.floats(1.5, 6.0),
+        prior=st.lists(
+            st.tuples(
+                st.sampled_from(LAW_NAMES),
+                st.sampled_from(["float", "array", "peak", "ladder"]),
+                st.floats(0.01, 0.99),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_warm_values_equal_fresh_ones(self, b, eff, c, k, prior):
+        specs = [("CM", cm_estimate(biweight(1.0), b, c)), ("S", s_estimate(biweight(1.0), b))]
+        calls = [
+            lambda: tune("s", b=b),
+            lambda: tune("s", k=k),
+            lambda: tune("cm", b=b, target_eff=eff),
+            lambda: avar_table(specs, LAW_NAMES),
+        ]
+        fresh = [self._cold(call) for call in calls]
+        curves._gf.cache_clear()
+        # Prior queries fill cells, ladders and the peak in a drawn order.
+        for law, query, v in prior:
+            gf = curves._gf(biweight(1.0), error_law(law))
+            if query == "float":
+                gf.g_inverse(v)
+            elif query == "array":
+                gf.g_inverse(np.array([v, 1.0 - v, 0.5 * v]))
+            elif query == "peak":
+                gf.peak()
+            else:
+                gf.g_inverse(np.array([1e-9 * v, 1.0 - 1e-7 * v]))
+        warm = [call() for call in calls]
+        # repr round-trips a float exactly, so equal reprs are equal bits.
+        assert repr(warm) == repr(fresh)
 
 
 class TestAvarTable:
@@ -346,11 +399,17 @@ class TestAvarTable:
                 super().__init__(rho, model)
 
         specs = reference_estimators()
+        curves._gf.cache_clear()
         monkeypatch.setattr(curves, "GFunction", CountingGFunction)
-        shared = avar_table(specs, LAW_NAMES)
-        monkeypatch.undo()
-        # 5 estimates x 7 laws, but only 3 distinct losses per law.
-        assert len(built) == len(set(built)) == 21
+        try:
+            shared = avar_table(specs, LAW_NAMES)
+            # 5 estimates x 7 laws, but only 3 distinct losses per law.
+            assert len(built) == len(set(built)) == 21
+            assert avar_table(specs, LAW_NAMES) == shared
+            assert len(built) == 21
+        finally:
+            monkeypatch.undo()
+            curves._gf.cache_clear()
 
         fresh = []
         for law_name in LAW_NAMES:

@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from maxbias.errors import DomainError, NumericalError
 from maxbias import numerics
 from maxbias.gfunction import (
     _COARSE,
+    _TABLE_GRID,
     _TABLE_STRIDE,
+    _WPHI,
     CAUCHY,
     GAUSSIAN,
     GINV_FLOOR,
@@ -408,7 +412,7 @@ class TestBracketTable:
             else:
                 gf.g_inverse(v[1::2])
                 gf.g_inverse(v[::2])
-            tables.append(gf._table[1])
+            tables.append(gf._table)
         assert np.isnan(tables[0]).any()  # cells no query needed stay empty
         for table in tables[1:]:
             assert np.array_equal(table, tables[0], equal_nan=True)
@@ -422,7 +426,7 @@ class TestBracketTable:
     @ALL_RHOS
     def test_ladder_brackets_equal_doubling_and_halving(self, model, rho):
         gf = GFunction(rho, model)
-        s_grid = gf._ensure_table()[0]
+        s_grid = _TABLE_GRID
         g_first, g_last = gf.g_eval(s_grid[0]), gf.g_eval(s_grid[-1])
 
         def reference(v):
@@ -457,8 +461,76 @@ class TestBracketTable:
     def test_one_inversion_fills_one_cell(self, gf_biw1_gauss):
         gf = GFunction(gf_biw1_gauss.rho, gf_biw1_gauss.model)
         gf.g_inverse(0.5)
-        filled = np.count_nonzero(~np.isnan(gf._table[1]))
+        filled = np.count_nonzero(~np.isnan(gf._table))
         assert filled == len(_COARSE) + _TABLE_STRIDE - 1
+
+
+class TestSharedInstance:
+    """Threads sharing one fresh GFunction get the values it gives alone."""
+
+    V = np.concatenate((np.linspace(0.02, 0.98, 49), [1e-10, 1.0 - 1e-7]))
+
+    @staticmethod
+    def _fresh():
+        return GFunction(biweight(1.5476), gaussian_model())
+
+    def _inversions(self, gf, floats_first=False):
+        """(g_inverse of V as an array, of every 5th target as floats)."""
+        if floats_first:
+            floats = [gf.g_inverse(float(x)) for x in self.V[::5]]
+            return gf.g_inverse(self.V), floats
+        array = gf.g_inverse(self.V)
+        return array, [gf.g_inverse(float(x)) for x in self.V[::5]]
+
+    def test_four_threads_invert_as_one(self):
+        want_array, want_floats = self._inversions(self._fresh())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                gf = self._fresh()
+                start = threading.Barrier(4)
+                results = [None] * 4
+
+                def work(i, gf=gf, start=start, results=results):
+                    start.wait(timeout=30)
+                    results[i] = self._inversions(gf, floats_first=i % 2 == 0)
+
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert None not in results
+                for got_array, got_floats in results:
+                    assert np.array_equal(got_array, want_array)
+                    assert got_floats == want_floats
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_table_published_between_build_and_fill(self, monkeypatch):
+        # The interleaving two threads can produce: this caller is handed a new
+        # table, then another caller publishes its own before this one fills
+        # a cell.  The caller must fill the table it searches.
+        want_array, want_floats = self._inversions(self._fresh())
+        gf = self._fresh()
+        fill = gf._fill_cell
+
+        def rival_publishes_first(*args):
+            gf._table = None
+            gf._ensure_table()
+            return fill(*args)
+
+        monkeypatch.setattr(gf, "_fill_cell", rival_publishes_first)
+        got_array, got_floats = self._inversions(gf)
+        assert np.array_equal(got_array, want_array)
+        assert got_floats == want_floats
+
+    def test_constants_shared_by_every_instance_are_read_only(self):
+        for shared in (_TABLE_GRID, _WPHI):
+            with pytest.raises(ValueError):
+                shared[0] = 1.0
 
 
 class TestModelRegistry:
