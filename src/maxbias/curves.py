@@ -474,15 +474,17 @@ def mm_bounds(gf1: GFunction, gf2: GFunction, b: float, eps: float) -> BiasPoint
     return _one(_mm_sweep(gf1, gf2, b, [eps]))
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=64)
 def _gf(rho: RhoSpec, model: Model) -> GFunction:
-    """One GFunction per (rho, model) for the process, at most 32 pairs.
+    """One GFunction per (rho, model) for the process, at most 64 pairs.
 
     ``tune("s")``, ``tune("cm")``, ``gaussian_efficiency``, ``avar_table`` and
-    ``reference_estimators`` share them.  No result depends on what an instance
-    served before: each table cell, ladder, phi scan and peak comes from its own
-    fixed scan.  Curves, dominance and the CLI's phi, dominance and check build
-    their own, since their cutoffs seldom recur and caching them costs memory.
+    ``reference_estimators`` share them.  The reference table's 21 pairs
+    outlive the 14 of an S and an MM row with fresh cutoffs (32 did not).  No
+    result depends on what an instance served before: each table cell, ladder,
+    phi scan and peak comes from its own fixed scan.  Curves, dominance and
+    the CLI's phi, dominance and check build their own, since their cutoffs
+    seldom recur and caching them costs memory.
     """
     return GFunction(rho, model)
 

@@ -20,9 +20,16 @@ g(s) = b; the MM-estimate inherits the preliminary S scale of its first
 loss; the CM-estimate scale is the minimizer of c g(s) + log s over s >= the
 S scale (``curves.objective_tail_inf`` at eps = 0), which is either the
 constraint boundary (the estimate is then asymptotically an S-estimate:
-``binding``) or the upper stationary scale of the objective.  Every entry
-point here takes the GFunction of a (loss, law) pair from ``curves._gf``,
-one instance per pair for the whole process, for the reasons given there.
+``binding``) or the upper stationary scale of the objective, where
+c phi(s) = 1.  Every entry point here takes the GFunction of a (loss, law)
+pair from ``curves._gf``, one instance per pair for the whole process, for
+the reasons given there.
+
+Tuning.  A biweight's avar depends on a = k * scale and the law only, so a
+target efficiency fixes a at the normal: it is the MM second cutoff, and
+the CM constant of the unit biweight is c = 1/phi(a) if a is the argmin.
+For b > g(sigma_M) = 0.4094 no c reaches a band of targets just above the
+S efficiency (the CM scale jumps past them as c grows); ``tune`` raises.
 """
 
 from __future__ import annotations
@@ -52,15 +59,14 @@ from .errors import (
     TargetRangeError,
     UnsupportedOperationError,
 )
-from .gfunction import LAWS, GFunction, Model, gaussian_model, halfline_expectation
+from .gfunction import _UW, _UX, LAWS, GFunction, Model, gaussian_model
 from .numerics import find_root
-from .rho import RhoSpec, biweight, psi_deriv_eval, psi_eval
+from .rho import RhoSpec, biweight
 
 __all__ = [
     "LAW_NAMES",
     "IQR_TARGET",
     "error_law",
-    "slope_avar",
     "m_avar",
     "s_scale",
     "gaussian_efficiency",
@@ -83,34 +89,37 @@ def error_law(name: str) -> Model:
     return Model(name, LAWS[name].iqr_multiplier)
 
 
-def slope_avar(psi, psi_deriv, cutoff: float, scale: float, law: Model) -> float:
-    """Fixed-scale M slope variance from explicit score callables.
+# psi(k v)^2 / k^2 and psi'(k v) of the biweight at v = r x for the unit
+# nodes x, times the rule's weights.  At r = 1 they are fixed, like _WPHI.
+def _score_weights(r: float) -> tuple[np.ndarray, np.ndarray]:
+    v2 = np.square(r * _UX)
+    return _UW * v2 * (1.0 - v2) ** 4, _UW * (1.0 - v2) * (1.0 - 5.0 * v2)
 
-    ``cutoff`` bounds the score support (psi = 0 for |u| >= cutoff), which
-    keeps every integral compactly supported even for heavy-tailed laws.
+
+_WPSI2, _WDPSI = _score_weights(1.0)
+
+
+def m_avar(rho: RhoSpec, scale: float, law: Model) -> float:
+    """Slope variance of a differentiable loss at the given residual scale.
+
+    With a = k * scale, u = min(a, support edge) and f the density at the
+    nodes u x: E psi(Z/scale)^2 = 2 u k^2 sum(W_psi2 f) and E psi'(Z/scale)
+    = 2 u sum(W_dpsi f), weights at v = (u / a) x (psi = 0 beyond a).
     """
+    if not rho.differentiable:
+        raise UnsupportedOperationError(f"{rho.family!r} has no score; avar is undefined")
     if not scale > 0:
         raise DomainError(f"residual scale must be positive, got {scale}")
-    num = 2.0 * halfline_expectation(lambda u: np.square(psi(u / scale)), cutoff, law)
-    den = 2.0 * halfline_expectation(lambda u: psi_deriv(u / scale), cutoff, law)
+    a = rho.k * scale
+    upper = min(a, law.support)
+    w_psi2, w_dpsi = (_WPSI2, _WDPSI) if upper == a else _score_weights(upper / a)
+    f = law.pdf(upper * _UX)
+    den = 2.0 * upper * float(w_dpsi @ f)
     if abs(den) < 1e-8:
         raise DegenerateEfficiencyError(
             f"score-derivative expectation {den:.3e} is degenerate for law {law.law}"
         )
-    return scale**2 * num / den**2
-
-
-def m_avar(rho: RhoSpec, scale: float, law: Model) -> float:
-    """Slope variance of a differentiable loss at the given residual scale."""
-    if not rho.differentiable:
-        raise UnsupportedOperationError(f"{rho.family!r} has no score; avar is undefined")
-    return slope_avar(
-        lambda u: psi_eval(rho, u),
-        lambda u: psi_deriv_eval(rho, u),
-        cutoff=rho.k * scale,
-        scale=scale,
-        law=law,
-    )
+    return 2.0 * upper * a * a * float(w_psi2 @ f) / den**2
 
 
 def s_scale(gf: GFunction, b: float) -> float:
@@ -145,13 +154,12 @@ def gaussian_efficiency(spec: EstimatorSpec) -> float:
 
 
 def _unit_scale_eff(k: float) -> float:
-    # Efficiency of a biweight score with cutoff k at residual scale 1 under
-    # the normal; every Gaussian-efficiency question reduces to this through
-    # the product k * scale.
+    # Gaussian efficiency of a biweight with cutoff k at residual scale 1; every
+    # efficiency question reduces to this through the product k * scale.
     return 1.0 / m_avar(biweight(k), 1.0, gaussian_model())
 
 
-def _k_for_eff(target: float) -> float:
+def _k_for_eff(target: float, tol: float = 1e-10) -> float:
     if not 0.0 < target < 1.0:
         raise TargetRangeError(target, (0.0, 1.0))
     lo, hi = 0.2, 8.0
@@ -163,7 +171,7 @@ def _k_for_eff(target: float) -> float:
         lo *= 0.5
         if lo < 1e-4:
             raise TargetRangeError(target, (_unit_scale_eff(2e-4), 1.0))
-    return find_root(lambda k: _unit_scale_eff(k) - target, lo, hi)
+    return find_root(lambda k: _unit_scale_eff(k) - target, lo, hi, xtol=tol, rtol=tol)
 
 
 def tune(
@@ -181,6 +189,8 @@ def tune(
       reaching the target Gaussian efficiency.
     * ``tune("cm", b=..., target_eff=...)``: the CM tuning constant c for a
       unit-cutoff biweight loss reaching the target Gaussian efficiency.
+      Targets below the S efficiency raise TargetRangeError, and those no c
+      reaches (b > 0.4094; about (0.287, 0.53) at b = 0.5) DomainError.
     """
     kind = kind.lower()
     if kind == S_KIND:
@@ -202,19 +212,16 @@ def tune(
         floor_eff = _unit_scale_eff(boundary)
         if not floor_eff < target_eff < 1.0:
             raise TargetRangeError(target_eff, (floor_eff, 1.0))
-        _, cap = gf.peak()
-
-        def eff_of(c: float) -> float:
-            _, scale = objective_tail_inf(gf, c, 0.0, boundary)
-            return _unit_scale_eff(scale)
-
-        lo = 1.0 / cap * (1.0 + 1e-9)
-        hi = 2.0 / cap
-        while eff_of(hi) < target_eff:
-            hi *= 2.0
-            if hi > 1e6:
-                raise TargetRangeError(target_eff, (floor_eff, 1.0))
-        return find_root(lambda c: eff_of(c) - target_eff, lo, hi)
+        # The target fixes the residual scale s*; c = 1/phi(s*) makes it
+        # stationary, and the argmin if it beats the boundary (which wins a
+        # tie).  c and every CM scale from it carry the error of s*: 1e-14.
+        scale = _k_for_eff(target_eff, tol=1e-14)
+        phi = gf.phi_eval(scale)
+        if not phi * math.log(scale / boundary) < b - gf.g_eval(scale):
+            raise DomainError(
+                f"target {target_eff:g} is unattainable at b = {b:g}: the CM scale jumps past it"
+            )
+        return 1.0 / phi
     raise DomainError(f"unknown estimator kind {kind!r}")
 
 

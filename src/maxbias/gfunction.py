@@ -348,17 +348,6 @@ def _convex_values(vals: np.ndarray) -> bool:
     return bool(np.min(second) >= -1e-8)
 
 
-def halfline_expectation(
-    h: Callable[[np.ndarray], np.ndarray], a: float, model: Model
-) -> float:
-    """int_0^{min(a, edge)} h(z) f(z) dz with the composite panel rule."""
-    upper = min(a, model.support)
-    if upper <= 0.0:
-        return 0.0
-    z = upper * _UX
-    return float(upper * np.dot(_UW, h(z) * model.pdf(z)))
-
-
 class GFunction:
     """g(s) = E rho(Z/s) with inverse, phi(s) = -s g'(s) and its peak.
 

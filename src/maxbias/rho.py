@@ -11,7 +11,8 @@ Two families are provided, both normalized so that sup rho = 1:
 The biweight score is psi(u) = u (1 - (u/k)^2)^2 on |u| <= k, which is
 rho'(u) up to the factor 6/k^2.  Every efficiency and variance expression in
 this package is invariant under rescaling of psi, so the conventional form
-is used and the invariance is asserted in the tests.
+is used; the tests check ``efficiency.m_avar`` against adaptive quadrature
+of the true score rho' (TestMAvarReference).
 """
 
 from __future__ import annotations

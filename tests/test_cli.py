@@ -1,5 +1,6 @@
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -137,6 +138,21 @@ class TestTuneCommand:
         )
         assert code == 1
         assert "attainable" in err
+
+    @pytest.mark.parametrize("b, target", [("0.5", "0.4"), ("0.5", "0.52"), ("0.45", "0.45")])
+    def test_gap_target_exits_1(self, capsys, b, target):
+        code, out, err = run(capsys, "tune", "--estimator", "cm", "--b", b, "--target-eff", target)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "unattainable" in err
+
+    def test_readme_constants(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = [line for line in readme.splitlines() if line.startswith("maxbias tune ")]
+        assert len(lines) == 3
+        for line in lines:
+            command, expected = line.split("# -> ")
+            code, out, _ = run(capsys, *shlex.split(command)[1:])
+            assert (code, out) == (0, expected + "\n"), line
 
     def test_s_quantile_from_cutoff(self, capsys):
         code, out, _ = run(capsys, "tune", "--estimator", "s", "--k", "4.68")

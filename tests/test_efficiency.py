@@ -1,14 +1,16 @@
+import dataclasses
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize
+from scipy import integrate, optimize
 
 from maxbias.curves import cm_estimate, mm_estimate, objective_tail_inf, s_estimate
-from maxbias import curves, efficiency
+from maxbias import curves, efficiency, numerics
 from maxbias.efficiency import (
     IQR_TARGET,
     LAW_NAMES,
@@ -18,11 +20,11 @@ from maxbias.efficiency import (
     m_avar,
     reference_estimators,
     s_scale,
-    slope_avar,
     tune,
     write_avar_csv,
 )
 from maxbias.errors import (
+    DegenerateEfficiencyError,
     DomainError,
     NumericalError,
     TargetRangeError,
@@ -106,29 +108,64 @@ class TestMAvar:
     def test_degenerate_denominator_flagged(self):
         # A cutoff exactly at the uniform support edge makes the
         # score-derivative expectation vanish identically.
-        from maxbias.errors import DegenerateEfficiencyError
-
         with pytest.raises(DegenerateEfficiencyError):
             m_avar(biweight(IQR_TARGET), 1.0, error_law("UNIF"))
 
-    def test_score_rescaling_invariance(self, norm_law):
-        rho = biweight(2.0)
-        base = slope_avar(
-            lambda u: psi_eval(rho, u),
-            lambda u: psi_deriv_eval(rho, u),
-            cutoff=2.0,
-            scale=1.0,
-            law=norm_law,
+    @pytest.mark.parametrize("name, scale", [("CAU", 1.3), ("UNIF", 3.0)])
+    def test_one_density_evaluation_per_call(self, monkeypatch, name, scale):
+        # UNIF at scale 3 takes the support-edge branch.
+        calls = []
+        base = LAWS[name]
+
+        def pdf(z):
+            calls.append(np.shape(z))
+            return base.pdf(z)
+
+        monkeypatch.setitem(LAWS, name, dataclasses.replace(base, pdf=pdf))
+        m_avar(biweight(4.685), scale, error_law(name))
+        assert len(calls) == 1
+
+
+def _quad_moments(rho, scale, law):
+    """E rho'(Z/scale)^2 and E rho''(Z/scale) by adaptive quadrature split at
+    the panel edges, with the true score rho' = (6/k^2) psi (psi rescaled)."""
+    factor = 6.0 / rho.k**2
+    upper = min(rho.k * scale, law.support)
+    edges = upper * np.concatenate(([0.0], np.logspace(-8.0, 0.0, 9)))
+
+    def expect(h):
+        return 2.0 * sum(
+            integrate.quad(
+                lambda z: h(z / scale) * float(law.pdf(z)), lo, hi, epsabs=0.0, epsrel=1e-12
+            )[0]
+            for lo, hi in zip(edges[:-1], edges[1:])
         )
-        for factor in (0.5, 2.0):
-            scaled = slope_avar(
-                lambda u: factor * psi_eval(rho, u),
-                lambda u: factor * psi_deriv_eval(rho, u),
-                cutoff=2.0,
-                scale=1.0,
-                law=norm_law,
-            )
-            assert scaled == pytest.approx(base, rel=1e-12)
+
+    num = expect(lambda u: (factor * psi_eval(rho, u)) ** 2)
+    return num, expect(lambda u: factor * psi_deriv_eval(rho, u))
+
+
+class TestMAvarReference:
+    """m_avar (conventional psi, fixed panel rule) against quadrature of the true score.
+
+    UNIF's support edge is 1.349, so six of its nine cases (k * scale above
+    it) take the support-edge branch and three are degenerate.
+    """
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("k", [1.0, 1.5476, 4.685])
+    @pytest.mark.parametrize("name", LAW_NAMES)
+    def test_matches_adaptive_quadrature(self, name, k, scale):
+        law = error_law(name)
+        rho = biweight(k)
+        num, den = _quad_moments(rho, scale, law)
+        if name == "UNIF" and k * scale <= law.support:
+            # A flat density under the whole score: E psi' vanishes exactly.
+            assert abs(den) < 1e-12
+            with pytest.raises(DegenerateEfficiencyError):
+                m_avar(rho, scale, law)
+        else:
+            assert m_avar(rho, scale, law) == pytest.approx(scale**2 * num / den**2, rel=1e-10)
 
 
 class TestScales:
@@ -256,6 +293,49 @@ class TestTune:
         assert hi == 1.0
         with pytest.raises(TargetRangeError):
             tune("cm", b=0.5, target_eff=0.2)
+
+    @pytest.mark.parametrize("b, target", [(0.5, 0.4), (0.5, 0.52), (0.45, 0.45)])
+    def test_cm_gap_targets_raise(self, b, target):
+        # Above the S efficiency but below the efficiency at which the upper
+        # stationary scale first beats the boundary: no c reaches them.
+        with pytest.raises(DomainError, match="unattainable") as info:
+            tune("cm", b=b, target_eff=target)
+        assert not isinstance(info.value, TargetRangeError)
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(b=st.floats(0.1, 0.6), u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_cm_round_trip(self, b, u):
+        floor = gaussian_efficiency(s_estimate(biweight(1.0), b))
+        target = floor + 1e-3 + u * (0.99 - floor - 1e-3)
+        try:
+            c = tune("cm", b=b, target_eff=target)
+        except DomainError:
+            # The gap exists only where the S scale lies below sigma_M.
+            gf = curves._gf(biweight(1.0), error_law("NORM"))
+            assert b > gf.g_eval(gf.peak()[0])
+            return
+        reached = gaussian_efficiency(cm_estimate(biweight(1.0), b, c))
+        assert reached == pytest.approx(target, abs=1e-9)
+
+    def test_warm_cm_tune_solves_one_root(self, monkeypatch):
+        tune("cm", b=0.5, target_eff=0.95)
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        find_root = counting("find_root", numerics.find_root)
+        tail_inf = counting("tail_inf", curves.objective_tail_inf)
+        for module in (numerics, efficiency):
+            monkeypatch.setattr(module, "find_root", find_root)
+        for module in (curves, efficiency):
+            monkeypatch.setattr(module, "objective_tail_inf", tail_inf)
+        tune("cm", b=0.5, target_eff=0.95)
+        assert counts == {"find_root": 1}
 
     def test_argument_validation(self):
         with pytest.raises(DomainError):
@@ -389,6 +469,32 @@ class TestAvarTable:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "estimator,law,avar,binding"
         assert len(lines) == 36
+
+    def test_table_pairs_outlive_fresh_cutoff_rows(self, monkeypatch):
+        # 21 table pairs plus 14 of one S and one MM row with fresh cutoffs.
+        built = []
+
+        class CountingGFunction(GFunction):
+            def __init__(self, rho, model):
+                built.append((rho, model))
+                super().__init__(rho, model)
+
+        curves._gf.cache_clear()
+        monkeypatch.setattr(curves, "GFunction", CountingGFunction)
+        try:
+            avar_table(reference_estimators())
+            avar_table(
+                [
+                    ("S", s_estimate(biweight(2.3), 0.3)),
+                    ("MM", mm_estimate(biweight(1.7), biweight(4.2), 0.45)),
+                ]
+            )
+            assert len(built) == len(set(built)) == 35
+            avar_table(reference_estimators())
+            assert len(built) == 35
+        finally:
+            monkeypatch.undo()
+            curves._gf.cache_clear()
 
     def test_shared_gfunctions_match_fresh_ones_per_cell(self, monkeypatch):
         built = []
