@@ -82,6 +82,13 @@ INAPPLICABLE = "Inapplicable"
 # Points of the exported c(eps) profile.
 _PROFILE_POINTS = 64
 
+# Relative width below which (c1, c0] counts as empty.  Just above
+# b = g(sigma_M) the interval opens as (b - g(sigma_M))^2: at b = g(sigma_M)
+# + 3e-6 its width is 2.4e-10 relative, and at the 9 significant digits the
+# report prints both ends read the same, an interval no printed c lies in.
+# A width above 1e-8 relative keeps the printed ends apart.
+_RESOLUTION = 1e-8
+
 
 def c_of_eps(gf: GFunction, b: float, eps: float) -> float:
     """c(eps) = log(sigma_{b,eps}/gamma_{b,eps}) / eps, the break-even tuning."""
@@ -117,11 +124,18 @@ def _profile_grid(bp: float, n: int) -> np.ndarray:
 
 
 def c_naught(gf: GFunction, b: float, n: int = 512) -> float:
-    """inf of c(eps) over (0, min(b, 1-b)), refined grid plus the analytic limit."""
-    return _c_naught(gf, b, c_zero_limit(gf, b), n)
+    """inf of c(eps) over (0, min(b, 1-b)).
+
+    Where the slope condition holds this is the eps -> 0 limit, by the
+    theorem in the module docstring; otherwise the smaller of that limit and
+    the minimum of c(eps) over an n-point grid.
+    """
+    return _c_naught(gf, b, c_zero_limit(gf, b), slope_condition(gf, b), n)
 
 
-def _c_naught(gf: GFunction, b: float, limit: float, n: int = 512) -> float:
+def _c_naught(gf: GFunction, b: float, limit: float, slope: bool, n: int = 512) -> float:
+    if slope:
+        return limit
     values = _c_values(gf, b, _profile_grid(_breakdown(b), n))
     return min(float(np.min(values)), limit)
 
@@ -193,11 +207,11 @@ def dominance_report(gf: GFunction, b: float) -> DominanceReport:
 
     profile_eps = _profile_grid(bp, _PROFILE_POINTS)
     profile = np.column_stack((profile_eps, _c_values(gf, b, profile_eps)))
+    hypotheses = _hypotheses(b, g_at_peak, phi_b0)
     c0_lim = 1.0 / phi_b0  # c_zero_limit
-    c0 = _c_naught(gf, b, c0_lim)
+    c0 = _c_naught(gf, b, c0_lim, hypotheses["slope-condition"])
     lower_bound = (1.0 - b) / cap + b / phi_b0
 
-    hypotheses = _hypotheses(b, g_at_peak, phi_b0)
     failed = [name for name, holds in hypotheses.items() if not holds]
 
     c1_value: float | None
@@ -207,12 +221,14 @@ def dominance_report(gf: GFunction, b: float) -> DominanceReport:
         c1_value = None
 
     if not failed:
-        if c1_value is not None and c1_value < c0:
+        if c1_value is not None and c1_value < c0 * (1.0 - _RESOLUTION):
             interval = (c1_value, c0)
             verdict = DOMINATED
         else:
             interval = None
-            verdict = EQUAL  # hypotheses hold but no tuning beats 1/K equality
+            # Hypotheses hold but no tuning beats 1/K equality by more than
+            # the report resolves.
+            verdict = EQUAL
     else:
         interval = None
         verdict = INAPPLICABLE

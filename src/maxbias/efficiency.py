@@ -29,7 +29,8 @@ Tuning.  A biweight's avar depends on a = k * scale and the law only, so a
 target efficiency fixes a at the normal: it is the MM second cutoff, and
 the CM constant of the unit biweight is c = 1/phi(a) if a is the argmin.
 For b > g(sigma_M) = 0.4094 no c reaches a band of targets just above the
-S efficiency (the CM scale jumps past them as c grows); ``tune`` raises.
+S efficiency (the CM scale jumps past them as c grows); ``tune`` names the
+attainable range, which starts at the efficiency of the switch scale.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .curves import (
 from .errors import (
     DegenerateEfficiencyError,
     DomainError,
+    NumericalError,
     TargetRangeError,
     UnsupportedOperationError,
 )
@@ -174,6 +176,29 @@ def _k_for_eff(target: float, tol: float = 1e-10) -> float:
     return find_root(lambda k: _unit_scale_eff(k) - target, lo, hi, xtol=tol, rtol=tol)
 
 
+def _cm_lowest_eff(gf: GFunction, b: float, boundary: float, floor_eff: float) -> float:
+    """The lower end of the efficiencies CM tunings reach at b (open).
+
+    It is the S efficiency unless b > g(sigma_M).  Then a stationary scale s
+    is the argmin only past the switch scale s_sw > sigma_M, the root of
+    b - g(s) - phi(s) log(s/s_b): that function falls from 0 at s_b to sigma_M
+    and rises to b beyond it, since its derivative is -phi'(s) log(s/s_b).
+    """
+    sigma_m, _ = gf.peak()
+    if not b > gf.g_eval(sigma_m):
+        return floor_eff
+
+    def gap(s: float) -> float:
+        return b - gf.g_eval(s) - gf.phi_eval(s) * math.log(s / boundary)
+
+    hi = 2.0 * sigma_m
+    while gap(hi) <= 0.0:
+        hi *= 2.0
+        if hi > 1e4 * sigma_m:
+            raise NumericalError(f"no switch scale of the CM objective at b = {b:g}")
+    return _unit_scale_eff(find_root(gap, sigma_m, hi))
+
+
 def tune(
     kind: str,
     b: float | None = None,
@@ -189,8 +214,9 @@ def tune(
       reaching the target Gaussian efficiency.
     * ``tune("cm", b=..., target_eff=...)``: the CM tuning constant c for a
       unit-cutoff biweight loss reaching the target Gaussian efficiency.
-      Targets below the S efficiency raise TargetRangeError, and those no c
-      reaches (b > 0.4094; about (0.287, 0.53) at b = 0.5) DomainError.
+      Targets no c reaches raise TargetRangeError with the attainable range:
+      above the S efficiency, or for b > g(sigma_M) = 0.4094 above the
+      efficiency at the switch scale (0.529204 at b = 0.5).
     """
     kind = kind.lower()
     if kind == S_KIND:
@@ -210,18 +236,15 @@ def tune(
         boundary = s_scale(gf, b)
         # The binding CM estimate is the S-estimate: its efficiency is the floor.
         floor_eff = _unit_scale_eff(boundary)
-        if not floor_eff < target_eff < 1.0:
-            raise TargetRangeError(target_eff, (floor_eff, 1.0))
-        # The target fixes the residual scale s*; c = 1/phi(s*) makes it
-        # stationary, and the argmin if it beats the boundary (which wins a
-        # tie).  c and every CM scale from it carry the error of s*: 1e-14.
-        scale = _k_for_eff(target_eff, tol=1e-14)
-        phi = gf.phi_eval(scale)
-        if not phi * math.log(scale / boundary) < b - gf.g_eval(scale):
-            raise DomainError(
-                f"target {target_eff:g} is unattainable at b = {b:g}: the CM scale jumps past it"
-            )
-        return 1.0 / phi
+        if floor_eff < target_eff < 1.0:
+            # The target fixes the residual scale s*; c = 1/phi(s*) makes it
+            # stationary, and the argmin if it beats the boundary (which wins
+            # a tie).  c and every CM scale from it carry the error of s*: 1e-14.
+            scale = _k_for_eff(target_eff, tol=1e-14)
+            phi = gf.phi_eval(scale)
+            if phi * math.log(scale / boundary) < b - gf.g_eval(scale):
+                return 1.0 / phi
+        raise TargetRangeError(target_eff, (_cm_lowest_eff(gf, b, boundary, floor_eff), 1.0))
     raise DomainError(f"unknown estimator kind {kind!r}")
 
 

@@ -53,10 +53,13 @@ phi vanishes, and stops once a step moves s by at most 1e-14 + 1e-13 s (or
 the bracket is that narrow).  An array of targets runs one vector
 iteration, in blocks of _SCAN_ROWS rows, over the targets not yet
 converged.  The table is filled coarse to fine: every 32nd point when it
-is built, then the 31 points of a coarse cell the first time a query lands
-in it (each cell by its own scan, so its values do not depend on the
-query that filled it); a GFunction inverted at one level evaluates 96 of
-the 2048 points.  Beyond each end of the table, g on the ladder s_end 2^m
+is built, then the 31 points of a coarse cell the first time a float
+query lands in it (each cell by its own scan, so its values do not depend
+on the query that filled it); a GFunction inverted at one level evaluates
+96 of the 2048 points.  An array of targets starts from the coarse cells
+and fills none: the extra Newton pass a wider bracket costs is one kernel
+row per target, while a fine cell costs 31 rows however few targets land
+in it.  Beyond each end of the table, g on the ladder s_end 2^m
 (or s_0 2^-m), m = 1.._MAX_STEPS, comes from one scan the first time a
 target falls there; the target is bracketed by the first rung past it and
 the rung before, and fails past the last rung.
@@ -523,21 +526,20 @@ class GFunction:
         return _TABLE_GRID[j - 1], _TABLE_GRID[j]
 
     def _brackets(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """_bracket for every target: one coarse search, one scan per new cell;
-        a target past the last rung of a ladder gets NaN ends."""
-        g_vals = self._ensure_table()
+        """Brackets of an array of targets: the coarse cell [_COARSE[i],
+        _COARSE[i + 1]] holding each target inside the table (no fine point
+        is filled), or ladder rungs beyond it; a target past the last rung
+        gets NaN ends.  _bracket's fine cells stay the start of float
+        inversions, where the extra Newton step would cost more than a fill
+        shared by later queries."""
+        g_coarse = self._ensure_table()[_COARSE]
         n = len(_COARSE)
-        idx = np.searchsorted(g_vals[_COARSE][::-1], v)
+        idx = np.searchsorted(g_coarse[::-1], v)
         inner = (0 < idx) & (idx < n)
         cell = n - idx[inner] - 1
-        for i in np.unique(cell):
-            self._fill_cell(g_vals, i)
-        first, last = _COARSE[cell], _COARSE[cell + 1]
-        points = np.minimum(first[:, None] + np.arange(_TABLE_STRIDE + 1), last[:, None])
-        j = first + np.count_nonzero(g_vals[points] >= v[inner, None], axis=1)
         lo = np.empty_like(v)
         hi = np.empty_like(v)
-        lo[inner], hi[inner] = _TABLE_GRID[j - 1], _TABLE_GRID[j]
+        lo[inner], hi[inner] = _TABLE_GRID[_COARSE[cell]], _TABLE_GRID[_COARSE[cell + 1]]
         for below, beyond in ((True, idx == 0), (False, idx == n)):
             if beyond.any():
                 lo[beyond], hi[beyond] = self._climb(v[beyond], below)

@@ -7,10 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maxbias import numerics
+from maxbias._io import fmt
 from maxbias.curves import cm_maxbias, critical_pair, s_maxbias, scale_bounds, scale_objective
 from maxbias.dominance import (
     DOMINATED,
+    EQUAL,
     INAPPLICABLE,
+    _c_naught,
     _c_values,
     _profile_grid,
     c_naught,
@@ -82,8 +85,10 @@ class TestCNaught:
         )
 
     def test_grid_refinement_converged(self, gf_biw1_gauss):
-        coarse = c_naught(gf_biw1_gauss, 0.5, n=512)
-        fine = c_naught(gf_biw1_gauss, 0.5, n=1024)
+        # b = 0.1: the slope condition fails, so the infimum comes from the grid.
+        assert not slope_condition(gf_biw1_gauss, 0.1)
+        coarse = c_naught(gf_biw1_gauss, 0.1, n=512)
+        fine = c_naught(gf_biw1_gauss, 0.1, n=1024)
         assert abs(fine - coarse) < 1e-6
 
     @pytest.mark.parametrize("rho, b", [(biweight(1.0), 0.5), (alpha_quantile(), 0.4)])
@@ -101,8 +106,10 @@ class TestCNaught:
             _c_values(gf, b, np.array([0.1, min(b, 1.0 - b)]))
 
     def test_warm_infimum_is_a_few_vector_passes(self, monkeypatch):
+        # b = 0.1: the slope condition fails, so the infimum scans the grid.
         gf = GFunction(biweight(1.0), gaussian_model())
-        expected = c_naught(gf, 0.5)  # fills the table cells the targets need
+        expected = c_naught(gf, 0.1)  # builds the table, the ladders and the peak
+        limit = c_zero_limit(gf, 0.1)
         roots, passes = [], []
         find_root, scan = numerics.find_root, gf._scan
 
@@ -122,7 +129,8 @@ class TestCNaught:
         monkeypatch.setattr(numerics, "find_root", counting_root)
         monkeypatch.setattr(gf, "_scan", counting_scan)
         monkeypatch.setattr(gf, "g_eval", counting_g_eval)
-        assert c_naught(gf, 0.5) == expected
+        # The grid alone: the slope condition needs one scalar g(sigma_M).
+        assert _c_naught(gf, 0.1, limit, False) == expected
         # 1024 targets in one Newton iteration: one kernel pass per step, and
         # targets beyond the table are bracketed from the cached ladders.
         assert not roots
@@ -272,6 +280,19 @@ class TestDominanceReport:
         assert rep.verdict == DOMINATED
         assert rep.g_sigma_m == pytest.approx(0.31731, abs=1e-4)
 
+    @pytest.mark.parametrize("rho", [biweight(1.0), alpha_quantile()], ids=["biweight", "step"])
+    def test_interval_narrower_than_the_report_is_equal(self, rho):
+        # Just above b = g(sigma_M) the interval (c1, c0] is real but narrower
+        # than its 9 printed digits: no printed c would lie inside it.
+        gf = GFunction(rho, gaussian_model())
+        b = gf.g_eval(gf.peak()[0]) + 3e-6
+        report = dominance_report(gf, b)
+        assert not report.failed_hypotheses and report.c1 < report.c0
+        assert fmt(report.c1) == fmt(report.c0)
+        assert report.verdict == EQUAL and report.dominance_interval is None
+        wider = dominance_report(gf, b + 1e-3)
+        assert wider.verdict == DOMINATED and fmt(wider.c1) != fmt(wider.c0)
+
     def test_biweight_small_quantile_inapplicable(self, gf_biw1_gauss):
         rep = dominance_report(gf_biw1_gauss, 0.3)
         assert rep.verdict == INAPPLICABLE
@@ -392,3 +413,31 @@ class TestDominanceProperties:
             c, eps = c1 + t * (c0 - c1), frac * b
             s_bias = s_maxbias(gf, b, eps).lower
             assert cm_maxbias(gf, b, c, eps).lower <= s_bias * (1.0 + 1e-9) + 1e-12
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(step=st.booleans(), k=st.floats(0.5, 5.0), b=st.floats(0.05, 0.5))
+    def test_report_takes_c0_from_the_slope_theorem(self, step, k, b):
+        gf = GFunction(alpha_quantile(k) if step else biweight(k), gaussian_model())
+        report = dominance_report(gf, b)
+        if report.slope_condition:
+            assert report.c0 == report.c0_limit
+        else:
+            assert report.c0 <= report.c0_limit
+        if report.verdict == DOMINATED:
+            assert report.dominance_interval == (report.c1, report.c0)
+            assert float(fmt(report.c1)) < float(fmt(report.c0))  # as printed
+        profile = report.c_profile[:, 1]
+        assert np.isfinite(profile).all() and (profile > 0.0).all()
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(step=st.booleans(), k=st.floats(0.5, 5.0), b=st.floats(0.05, 0.5))
+    def test_slope_theorem_bounds_the_grid(self, step, k, b):
+        # Where the slope condition holds, no grid point undercuts the eps -> 0
+        # limit; below eps = 1e-5 bp, c(eps) divides the rounding of two
+        # inversions by eps, so those points are left out.
+        gf = GFunction(alpha_quantile(k) if step else biweight(k), gaussian_model())
+        assume(slope_condition(gf, b))
+        bp = min(b, 1.0 - b)
+        eps = _profile_grid(bp, 512)
+        eps = eps[eps >= 1e-5 * bp]
+        assert np.min(_c_values(gf, b, eps)) >= c_zero_limit(gf, b) * (1.0 - 1e-10)

@@ -289,7 +289,9 @@ class TestTune:
         with pytest.raises(TargetRangeError) as info:
             tune("cm", b=0.5, target_eff=1.2)
         lo, hi = info.value.attainable
-        assert lo == pytest.approx(0.287, abs=0.005)
+        # b = 0.5 > g(sigma_M): the range starts at the switch scale's
+        # efficiency, not at the S efficiency 0.287.
+        assert lo == pytest.approx(0.529204, abs=1e-6)
         assert hi == 1.0
         with pytest.raises(TargetRangeError):
             tune("cm", b=0.5, target_eff=0.2)
@@ -298,9 +300,21 @@ class TestTune:
     def test_cm_gap_targets_raise(self, b, target):
         # Above the S efficiency but below the efficiency at which the upper
         # stationary scale first beats the boundary: no c reaches them.
-        with pytest.raises(DomainError, match="unattainable") as info:
+        with pytest.raises(TargetRangeError, match="unattainable") as info:
             tune("cm", b=b, target_eff=target)
-        assert not isinstance(info.value, TargetRangeError)
+        assert info.value.attainable[0] > target
+
+    @pytest.mark.parametrize("b, lowest", [(0.42, 0.454135), (0.5, 0.529204), (0.55, 0.575581)])
+    def test_cm_range_starts_at_switch_efficiency(self, b, lowest):
+        with pytest.raises(TargetRangeError) as info:
+            tune("cm", b=b, target_eff=0.2)
+        lo = info.value.attainable[0]
+        assert lo == pytest.approx(lowest, abs=1e-6)
+        with pytest.raises(TargetRangeError):
+            tune("cm", b=b, target_eff=lo - 1e-6)
+        c = tune("cm", b=b, target_eff=lo + 1e-6)
+        reached = gaussian_efficiency(cm_estimate(biweight(1.0), b, c))
+        assert reached == pytest.approx(lo + 1e-6, abs=1e-9)
 
     @settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @given(b=st.floats(0.1, 0.6), u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))

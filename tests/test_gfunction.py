@@ -17,6 +17,7 @@ from maxbias import numerics
 from maxbias.gfunction import (
     _COARSE,
     _TABLE_GRID,
+    _TABLE_SIZE,
     _TABLE_STRIDE,
     _WPHI,
     CAUCHY,
@@ -348,16 +349,13 @@ class TestPhiExport:
             gf_step_gauss.phi_table([0.0, 1.0])
 
 
+# The two carriers and the seven laws at their IQR-matching scales.
+SCAN_MODELS = [gaussian_model(), cauchy_model()] + [error_law(name) for name in LAW_NAMES]
+SCAN_RHOS = [biweight(1.0), biweight(4.685), alpha_quantile(1.0)]
 ALL_MODELS = pytest.mark.parametrize(
-    "model",
-    [gaussian_model(), cauchy_model()] + [error_law(name) for name in LAW_NAMES],
-    ids=["gaussian", "cauchy"] + [f"law-{name}" for name in LAW_NAMES],
+    "model", SCAN_MODELS, ids=["gaussian", "cauchy"] + [f"law-{name}" for name in LAW_NAMES]
 )
-ALL_RHOS = pytest.mark.parametrize(
-    "rho",
-    [biweight(1.0), biweight(4.685), alpha_quantile(1.0)],
-    ids=lambda r: f"{r.family}-{r.k:g}",
-)
+ALL_RHOS = pytest.mark.parametrize("rho", SCAN_RHOS, ids=lambda r: f"{r.family}-{r.k:g}")
 
 
 class TestBlockedScan:
@@ -398,29 +396,26 @@ class TestBracketTable:
             assert gf._bracket(v) == (s_grid[j - 1], s_grid[j])
 
     @pytest.mark.parametrize("rho", PROPERTY_RHOS, ids=lambda r: f"{r.family}-{r.k:g}")
-    def test_array_filled_cells_equal_scalar_filled(self, rho):
-        # A cell is scanned on its own, whichever queries land in it first.
-        v = np.concatenate((np.linspace(0.02, 0.98, 97), [1e-9, 1.0 - 1e-9]))
-        tables = []
-        for fill in ("array", "scalar", "halves"):
-            gf = GFunction(rho, gaussian_model())
-            if fill == "array":
-                gf.g_inverse(v)
-            elif fill == "scalar":
-                for x in v:
-                    gf.g_inverse(float(x))
-            else:
-                gf.g_inverse(v[1::2])
-                gf.g_inverse(v[::2])
-            tables.append(gf._table)
-        assert np.isnan(tables[0]).any()  # cells no query needed stay empty
-        for table in tables[1:]:
-            assert np.array_equal(table, tables[0], equal_nan=True)
+    def test_array_inversion_fills_no_cell(self, rho):
+        # Array targets are bracketed by coarse cells: every fine point stays empty.
+        gf = GFunction(rho, gaussian_model())
+        gf.g_inverse(np.concatenate((np.linspace(0.02, 0.98, 97), [1e-9, 1.0 - 1e-9])))
+        fine = np.ones(_TABLE_SIZE, dtype=bool)
+        fine[_COARSE] = False
+        assert np.isnan(gf._table[fine]).all()
+        assert not np.isnan(gf._table[_COARSE]).any()
 
-    def test_array_brackets_match_scalar(self, gf_biw468_gauss):
+    def test_array_brackets_are_coarse_cells_of_float_brackets(self, gf_biw468_gauss):
         v = np.concatenate((np.linspace(0.01, 0.99, 50), [1e-10, 1.0 - 1e-10]))
         lo, hi = gf_biw468_gauss._brackets(v)
-        assert [gf_biw468_gauss._bracket(float(x)) for x in v] == list(zip(lo, hi))
+        grid_index = {s: j for j, s in enumerate(_TABLE_GRID)}
+        for x, got in zip(v, zip(lo, hi)):
+            want = gf_biw468_gauss._bracket(float(x))
+            if want[0] in grid_index and want[1] in grid_index:
+                # The coarse cell [_COARSE[i], _COARSE[i + 1]] holding the fine one.
+                i = np.searchsorted(_COARSE, grid_index[want[1]]) - 1
+                want = (_TABLE_GRID[_COARSE[i]], _TABLE_GRID[_COARSE[i + 1]])
+            assert got == want  # ladder brackets are shared by both paths
 
     @ALL_MODELS
     @ALL_RHOS
@@ -623,3 +618,30 @@ class TestGProperties:
         g_s, g_t = gf.g_eval(s), gf.g_eval(t)
         assume(GINV_FLOOR < g_t and g_s < 1.0 - GINV_FLOOR)
         assert g_s > g_t
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        model=st.sampled_from(SCAN_MODELS),
+        rho=st.sampled_from(SCAN_RHOS),
+        inner=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=20),
+        below=st.lists(st.floats(0.05, 3.0), max_size=3),
+        above=st.lists(st.floats(0.05, 2.0), max_size=3),
+    )
+    def test_array_and_float_inversions_agree(self, model, rho, inner, below, above):
+        # Array targets start from coarse cells, floats from fine ones: 1e-14
+        # relative.  Targets beyond the table (decades below its last g, above
+        # its first) start from the same ladder rungs, but there the rounding
+        # of g is large against phi (g near 1, or an sf that cancels: CAU, T3)
+        # and the array and float kernels round differently, so the bound adds
+        # the rounding limit eps / phi(s) of the inversion.
+        gf = _property_gf(model, rho)
+        g_first, g_last = gf.g_eval(_TABLE_GRID[0]), gf.g_eval(_TABLE_GRID[-1])
+        ladder = np.concatenate(
+            (g_last * 10.0 ** -np.array(below), 1.0 - (1.0 - g_first) * 10.0 ** -np.array(above))
+        )
+        ladder = ladder[(GINV_FLOOR < ladder) & (ladder < 1.0 - GINV_FLOOR)]
+        v = np.concatenate((inner, ladder))
+        floats = np.array([gf.g_inverse(float(x)) for x in v])
+        bound = np.full(v.size, 1e-14)
+        bound[len(inner) :] += np.finfo(float).eps / gf.phi_table(floats[len(inner) :])[:, 1]
+        assert np.all(np.abs(gf.g_inverse(v) - floats) / floats <= bound)
